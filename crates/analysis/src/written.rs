@@ -62,9 +62,7 @@ impl EvictionResult {
 /// loop and checks the loop body; failures are also reported into `diags`.
 pub fn analyze(program: &Program, cg: &CallGraph, diags: &mut Diagnostics) -> EvictionResult {
     // Summaries are *inputs* to every other per-method judgment, so they
-    // are always computed for the whole program — a shard worker runs
-    // this pass over the full source too (deterministically recomputing
-    // what a distributed build would fetch from the artifact store).
+    // are always computed for the whole program.
     let shard = ShardInput::whole(program);
     let mut summaries: BTreeMap<MethodRef, MethodSummary> = BTreeMap::new();
     // Bottom-up over the acyclic call graph, one reverse-topo wave at a

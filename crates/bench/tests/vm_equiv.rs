@@ -4,12 +4,14 @@
 //! results to the tree-walking interpreter — identical output traces,
 //! step counts, error logs, and `RuntimeError`s — plain and under
 //! injected faults of both kinds. Also pins campaign results to be
-//! independent of the worker thread count.
+//! independent of the worker thread count and the batch size.
 
 use sjava_bench::stressgen::{self, StressConfig};
+use sjava_runtime::campaign::TrialKind;
 use sjava_runtime::inject::InjectKind;
 use sjava_runtime::{
-    compile, Campaign, ExecOptions, FnInput, Injector, InputProvider, Interpreter, Value, Vm,
+    compare_runs, compile, Campaign, CampaignOutcome, ExecOptions, FnInput, Grid, Injector,
+    InputProvider, Interpreter, ScriptedInput, Value, Vm,
 };
 use sjava_syntax::ast::Program;
 
@@ -188,4 +190,112 @@ fn campaign_is_thread_count_invariant() {
     assert_eq!(a.diverged(), b.diverged());
     assert_eq!(a.hist_samples.buckets, b.hist_samples.buckets);
     assert_eq!(a.hist_iterations.buckets, b.hist_iterations.buckets);
+}
+
+/// Field initializers that run VM steps, so instantiation takes
+/// `prep.steps >= 1` and early triggers take the campaign's full-run
+/// path. The second program's initializer also reads an input, so the
+/// post-instantiation input state differs from the fresh one.
+const INSTANTIATING: [&str; 2] = [
+    "class A { int warm = 1 + 2; int prev; void main() { SSJAVA: while (true) {
+        int x = Device.read();
+        Out.emit(prev + x);
+        prev = x;
+    } } }",
+    "class A { int warm = Device.read() + 2; int prev; void main() { SSJAVA: while (true) {
+        int x = Device.read();
+        Out.emit(prev + x + warm);
+        prev = x;
+    } } }",
+];
+
+fn scripted() -> ScriptedInput {
+    ScriptedInput::new().channel(
+        "read",
+        vec![Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(5)],
+    )
+}
+
+#[test]
+fn campaign_is_batch_size_invariant() {
+    // Every (batch size, thread count) pair must reproduce the per-trial
+    // results of one-trial batches on one thread, on both grid kinds,
+    // including trials whose trigger fires during instantiation.
+    let semantic = |o: &CampaignOutcome| {
+        o.trials
+            .iter()
+            .map(|t| (t.seed, t.trigger, t.kind, t.injected_at, t.stats.clone()))
+            .collect::<Vec<_>>()
+    };
+    for src in INSTANTIATING {
+        let program = sjava_syntax::parse(src).expect("parses");
+        let module = compile(&program);
+        let prep_steps = Vm::new(&module, scripted(), ExecOptions::default())
+            .prepare("A", "main")
+            .expect("entry resolves")
+            .steps;
+        assert!(prep_steps >= 1, "instantiation must take steps");
+        let grids = [
+            Grid::MonteCarlo,
+            Grid::Lattice {
+                seeds: 3,
+                triggers: 4,
+            },
+        ];
+        for grid in grids {
+            let run = |batch_size: usize, threads: usize| {
+                let mut c = Campaign::new(&program, ("A", "main"), 6);
+                c.grid = grid;
+                c.trials = 40;
+                c.threads = Some(threads);
+                c.batch_size = batch_size;
+                c.run(scripted).expect("campaign runs")
+            };
+            let reference = run(1, 1);
+            assert!(
+                reference.trials.iter().any(|t| t.trigger <= prep_steps),
+                "{grid:?}: the grid must include triggers inside instantiation"
+            );
+            // Ground truth: every trial equals one injected run on a
+            // fresh VM over fresh inputs.
+            for t in &reference.trials {
+                let injector = match t.kind {
+                    TrialKind::Op => Injector::with_kind(t.seed, t.trigger, InjectKind::Op),
+                    TrialKind::HeapRandom => {
+                        Injector::with_kind(t.seed, t.trigger, InjectKind::Heap)
+                    }
+                    TrialKind::HeapCell(rank) => Injector::targeted_cell(t.seed, t.trigger, rank),
+                };
+                let fresh = Vm::new(&module, scripted(), ExecOptions::default())
+                    .with_injector(injector)
+                    .run("A", "main", 6)
+                    .expect("injected run");
+                assert_eq!(t.injected_at, fresh.injected_at, "{grid:?} {t:?}\n{src}");
+                assert_eq!(
+                    t.stats,
+                    compare_runs(
+                        &reference.golden.iteration_outputs,
+                        &fresh.iteration_outputs,
+                        0.0
+                    ),
+                    "{grid:?} {t:?}\n{src}"
+                );
+            }
+            for batch_size in [1usize, 7, 1000] {
+                for threads in [1usize, 4] {
+                    let got = run(batch_size, threads);
+                    assert_eq!(
+                        semantic(&got),
+                        semantic(&reference),
+                        "{grid:?} batch_size={batch_size} threads={threads} changed results\n{src}"
+                    );
+                    assert_eq!(got.hist_samples.buckets, reference.hist_samples.buckets);
+                    assert_eq!(
+                        got.hist_iterations.buckets,
+                        reference.hist_iterations.buckets
+                    );
+                }
+            }
+        }
+    }
 }

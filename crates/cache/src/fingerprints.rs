@@ -38,8 +38,9 @@ use std::collections::{BTreeMap, HashMap};
 
 /// Digest of every class interface in declaration order, folded from the
 /// per-class [`sjava_analysis::shard::class_interface_hash`] summaries —
-/// the same content addresses shard workers publish, so "the interface
-/// summaries agree" and "the cache key matches" are one judgment. Keys
+/// the same content addresses the per-method checkers read, so "the
+/// interface summaries agree" and "the cache key matches" are one
+/// judgment. Keys
 /// the cached lattice model, and seeds every per-method fingerprint so
 /// interface changes invalidate all method entries.
 pub fn iface_hash(program: &Program) -> u64 {

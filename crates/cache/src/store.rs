@@ -1,13 +1,13 @@
 //! Concurrent content-addressed artifact store — the disk layer behind
-//! directory-backed [`crate::IncrementalChecker`] sessions and sharded
-//! `sjava check --shards=N` workers.
+//! directory-backed [`crate::IncrementalChecker`] sessions, shared by any
+//! number of `sjava check` processes pointed at one `SJAVA_CACHE_DIR`.
 //!
 //! ## Layout (format v5)
 //!
 //! Earlier formats serialized the whole session into one monolithic
 //! `cache.bin` rewritten after every check — a design that cannot be
-//! shared by concurrent processes (last writer wins, droppings half of
-//! each worker's entries) and that forces a full decode up front. Version
+//! shared by concurrent processes (last writer wins, dropping half of
+//! each process's entries) and that forces a full decode up front. Version
 //! 4 introduced **one object per artifact** under a fan-out directory;
 //! version 5 re-keys entries for dependency-tracked revalidation (the
 //! key no longer folds the whole-program interface hash) and pairs each

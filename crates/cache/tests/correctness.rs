@@ -198,6 +198,43 @@ fn disk_round_trip_serves_warm_hits_across_sessions() {
 }
 
 #[test]
+fn store_warm_hit_rate_across_sessions_meets_floor() {
+    // The cross-session warm-hit floor: one store-backed session
+    // publishes every artifact of the small stress preset; a fresh
+    // session over the same directory (a new process behaves the same —
+    // the store is the only shared state) must replay at least 95% of
+    // the per-method results and print the same bytes as a cold check.
+    const FLOOR: f64 = 0.95;
+    let dir = std::env::temp_dir().join(format!(
+        "sjava-cache-correctness-warm-hit-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let source = sjava_bench::stressgen::generate(&sjava_bench::stressgen::StressConfig::small());
+    let program = sjava_syntax::parse(&source).expect("stress preset parses");
+    let reference = digest(&check_program(&program));
+
+    let mut writer = IncrementalChecker::with_dir(&dir);
+    writer.set_persist_min(0);
+    assert_eq!(digest(&writer.check(&program)), reference);
+    drop(writer);
+
+    let mut reader = IncrementalChecker::with_dir(&dir);
+    reader.set_persist_min(0);
+    let warm = reader.check(&program);
+    assert_eq!(digest(&warm), reference, "store-warm check differs");
+    let stats = warm.cache.expect("incremental report carries stats");
+    assert!(
+        stats.hit_rate() >= FLOOR,
+        "cross-session warm-hit rate {:.3} below the {FLOOR} floor ({} hits / {} misses)",
+        stats.hit_rate(),
+        stats.hits,
+        stats.misses
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn tiny_programs_skip_the_disk_round_trip() {
     // A paper-sized app is cheaper to re-check than to round-trip through
     // the store, so a directory-backed session must not publish objects

@@ -27,9 +27,7 @@ pub type SharedMember = (String, String);
 ///
 /// Whole-program by construction: the per-method clears/reads summaries
 /// feed each other bottom-up and the final verdict reads them all at the
-/// loop, so callers hand it [`ShardInput::whole`]. In the sharded driver
-/// this pass runs driver-side only — it emits no per-method diagnostics,
-/// so the shard workers have nothing to contribute.
+/// loop, so callers hand it [`ShardInput::whole`].
 pub fn check_shared(
     shard: &ShardInput<'_>,
     lattices: &Lattices,
@@ -140,8 +138,8 @@ pub fn check_shared_loop(
     let Some(loop_body) = find_event_loop_body(&entry_method.body) else {
         return;
     };
-    // The loop walk checks only the entry method's body; a whole view
-    // over the driver's program is exactly its shard input.
+    // The loop walk checks only the entry method's body against the
+    // whole program.
     let view = ShardInput::whole(program);
     let mut checker = MethodChecker::new(&view, lattices, &cg.entry.0, entry_method, info);
     let mut scratch = Diagnostics::new();

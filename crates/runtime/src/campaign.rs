@@ -121,7 +121,7 @@ impl<'a> Campaign<'a> {
 
     /// Runs the campaign. `make_inputs` builds the (deterministic)
     /// input provider — called once for the golden run and once per
-    /// batch; per-trial input-state reset rides the VM snapshot.
+    /// batch; every trial starts from that fresh input state.
     ///
     /// # Errors
     ///
@@ -134,8 +134,7 @@ impl<'a> Campaign<'a> {
     {
         let started = Instant::now();
         let module = compile(self.program);
-        let opts = ExecOptions::default();
-        let mut gvm = Vm::new(&module, make_inputs(), opts.clone());
+        let mut gvm = Vm::new(&module, make_inputs(), ExecOptions::default());
         let golden = gvm.run(self.entry.0, self.entry.1, self.iterations)?;
         let heap_cells = gvm.heap_cells();
         let prep_steps = gvm.prepare(self.entry.0, self.entry.1)?.steps;
@@ -164,9 +163,9 @@ impl<'a> Campaign<'a> {
         let run_batch = |b: usize| -> Vec<TrialOutcome> {
             let lo = b * bsize;
             let hi = (lo + bsize).min(n);
-            let mut vm = Vm::new(&module, make_inputs(), opts.clone());
             run_trials_on(
-                &mut vm,
+                &module,
+                make_inputs(),
                 self.entry,
                 self.iterations,
                 &specs[lo..hi],
@@ -273,9 +272,9 @@ impl<'a> Campaign<'a> {
         }
         let stride = (specs.len() / SAMPLES).max(1);
         let sample: Vec<TrialSpec> = specs.iter().step_by(stride).copied().collect();
-        let mut vm = Vm::new(module, make_inputs(), ExecOptions::default());
         let outcomes = run_trials_on(
-            &mut vm,
+            module,
+            make_inputs(),
             self.entry,
             self.iterations,
             &sample,
@@ -300,17 +299,21 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// Replays `specs` on one VM against a shared golden run, restoring a
-/// post-instantiation snapshot between trials (falling back to a full
-/// run when the trigger can fire during instantiation).
+/// Replays `specs` on one fresh VM over `inputs` against a shared golden
+/// run, restoring a post-instantiation snapshot between trials (falling
+/// back to a full run when the trigger can fire during instantiation).
+/// Every trial sees the state a fresh injected run would, so results
+/// never depend on how the grid is batched.
 fn run_trials_on<I: InputProvider + Clone>(
-    vm: &mut Vm<'_, I>,
+    module: &Module,
+    inputs: I,
     entry: (&str, &str),
     iterations: usize,
     specs: &[TrialSpec],
     golden: &RunResult,
     eps: f64,
 ) -> Vec<TrialOutcome> {
+    let mut vm = Vm::new(module, inputs.clone(), ExecOptions::default());
     let prep = vm
         .prepare(entry.0, entry.1)
         .expect("campaign entry resolved by the golden run");
@@ -323,6 +326,11 @@ fn run_trials_on<I: InputProvider + Clone>(
                 vm.restore(&snap);
                 vm.resume(&prep, iterations, Some(spec.injector()))
             } else {
+                // A full run re-instantiates, so it must also start from
+                // the fresh input state rather than wherever earlier
+                // trials left the cursor. The post-prepare snapshot is
+                // not that state: field initializers may read inputs.
+                vm.set_inputs(inputs.clone());
                 vm.set_injector(Some(spec.injector()));
                 vm.run(entry.0, entry.1, iterations)
             }
