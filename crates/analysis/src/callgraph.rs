@@ -147,8 +147,7 @@ fn collect_event_loops<'a>(block: &'a Block, out: &mut Vec<&'a Stmt>) {
 /// The direct callee set of one resolvable method. Trusted
 /// methods/classes are opaque — their callees are not analyzed (§6.1,
 /// e.g. the BitStream and motor controller) — and unresolvable
-/// references contribute nothing. This is the per-method unit the
-/// incremental layer memoizes.
+/// references contribute nothing.
 pub fn method_callees(program: &Program, mref: &MethodRef) -> BTreeSet<MethodRef> {
     let Some((decl_class, method)) = program.resolve_method(&mref.0, &mref.1) else {
         return BTreeSet::new();
@@ -166,23 +165,6 @@ pub fn method_callees(program: &Program, mref: &MethodRef) -> BTreeSet<MethodRef
 /// Builds the call graph from the event loop, reporting recursion as an
 /// error.
 pub fn build(program: &Program, diags: &mut Diagnostics) -> Option<CallGraph> {
-    build_with(program, diags, |m| method_callees(program, m))
-}
-
-/// [`build`] with a pluggable callee-set supplier: the incremental layer
-/// passes a closure that serves memoized per-method callee sets and only
-/// falls back to [`method_callees`] on a miss. Graph assembly (worklist
-/// from the event loop + topological sort) is always recomputed — it is
-/// cheap, and it is what makes the supplier's per-method answers safe to
-/// reuse.
-pub fn build_with<F>(
-    program: &Program,
-    diags: &mut Diagnostics,
-    mut callees_of: F,
-) -> Option<CallGraph>
-where
-    F: FnMut(&MethodRef) -> BTreeSet<MethodRef>,
-{
     let (entry, loop_stmt) = find_event_loop(program, diags)?;
     let mut calls: BTreeMap<MethodRef, BTreeSet<MethodRef>> = BTreeMap::new();
     let mut stack: Vec<MethodRef> = vec![entry.clone()];
@@ -194,7 +176,7 @@ where
         if program.resolve_method(&mref.0, &mref.1).is_none() {
             continue;
         }
-        let callees = callees_of(&mref);
+        let callees = method_callees(program, &mref);
         for c in &callees {
             stack.push(c.clone());
         }

@@ -1,4 +1,4 @@
-//! Fact fingerprints and the `.deps` wire codec behind red-green
+//! Fact fingerprints and the read-set wire codec behind red-green
 //! revalidation.
 //!
 //! The recording layer (`sjava_syntax::track`) captures *which* facts a
@@ -16,12 +16,6 @@
 //! *equal fingerprint ⇒ the fact reads back byte-identically*. Every
 //! fingerprint is tagged (present/miss) so "the class disappeared" and
 //! "the class is empty" never collide.
-//!
-//! The wire form (`.deps` objects in the artifact store) pairs the dep
-//! list with the FNV-64 checksum of the entry payload it was recorded
-//! for. A reader adopts a persisted entry only when that pairing matches
-//! the entry object it actually read — two independently-published
-//! objects cannot be combined across a torn update.
 
 use crate::fingerprints::span_bits;
 use sjava_core::model::{effective_method_annots, Lattices};
@@ -206,7 +200,7 @@ impl<'a> FactDb<'a> {
     }
 }
 
-// ---- .deps wire codec --------------------------------------------------
+// ---- read-set wire codec ------------------------------------------------
 
 fn tag_of(key: &DepKey) -> u8 {
     match key {
@@ -222,38 +216,33 @@ fn tag_of(key: &DepKey) -> u8 {
     }
 }
 
-/// Deterministic encoding of a recorded read-set: the checksum of the
-/// entry payload it pairs with, then each `(key, fingerprint)`.
-pub(crate) fn encode_deps(deps: &[(DepKey, u64)], entry_fp: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    wire::put_u64(&mut buf, entry_fp);
-    wire::put_u64(&mut buf, deps.len() as u64);
+/// Appends the deterministic encoding of a recorded read-set to `buf`:
+/// the pair count, then each `(key, fingerprint)`.
+pub(crate) fn put_deps(buf: &mut Vec<u8>, deps: &[(DepKey, u64)]) {
+    wire::put_u64(buf, deps.len() as u64);
     for (key, fp) in deps {
         buf.push(tag_of(key));
         match key {
             DepKey::Iface(a) | DepKey::ClassLattice(a) | DepKey::LocOwner(a) => {
-                wire::put_str(&mut buf, a);
+                wire::put_str(buf, a);
             }
             DepKey::Resolve(a, b)
             | DepKey::Field(a, b)
             | DepKey::MethodFacts(a, b)
             | DepKey::SharedMember(a, b) => {
-                wire::put_str(&mut buf, a);
-                wire::put_str(&mut buf, b);
+                wire::put_str(buf, a);
+                wire::put_str(buf, b);
             }
             DepKey::SharedGate => {}
-            DepKey::Completion(k) => wire::put_u64(&mut buf, *k),
+            DepKey::Completion(k) => wire::put_u64(buf, *k),
         }
-        wire::put_u64(&mut buf, *fp);
+        wire::put_u64(buf, *fp);
     }
-    buf
 }
 
-/// Decodes a read-set payload into the dep list and the paired entry
-/// checksum; `None` on any truncation, bad tag, or trailing garbage.
-pub(crate) fn decode_deps(payload: &[u8]) -> Option<(Vec<(DepKey, u64)>, u64)> {
-    let mut r = Reader::new(payload);
-    let entry_fp = r.u64()?;
+/// Reads a read-set written by [`put_deps`]; `None` on any truncation or
+/// bad tag.
+pub(crate) fn read_deps(r: &mut Reader<'_>) -> Option<Vec<(DepKey, u64)>> {
     let n = r.count()?;
     let mut deps = Vec::with_capacity(n as usize);
     for _ in 0..n {
@@ -271,7 +260,7 @@ pub(crate) fn decode_deps(payload: &[u8]) -> Option<(Vec<(DepKey, u64)>, u64)> {
         };
         deps.push((key, r.u64()?));
     }
-    r.is_exhausted().then_some((deps, entry_fp))
+    Some(deps)
 }
 
 #[cfg(test)]
@@ -301,16 +290,19 @@ mod tests {
             (DepKey::SharedGate, 8),
             (DepKey::Completion(99), 9),
         ];
-        let buf = encode_deps(&deps, 0xFEED);
-        assert_eq!(decode_deps(&buf), Some((deps, 0xFEED)));
+        let mut buf = Vec::new();
+        put_deps(&mut buf, &deps);
+        let mut r = Reader::new(&buf);
+        assert_eq!(read_deps(&mut r), Some(deps));
+        assert!(r.is_exhausted(), "the reader consumes exactly the read-set");
         // Any truncation reads as None.
         for cut in 0..buf.len() {
-            assert_eq!(decode_deps(&buf[..cut]), None, "truncation at {cut}");
+            assert_eq!(
+                read_deps(&mut Reader::new(&buf[..cut])),
+                None,
+                "truncation at {cut}"
+            );
         }
-        // Trailing garbage reads as None.
-        let mut long = buf.clone();
-        long.push(0);
-        assert_eq!(decode_deps(&long), None);
     }
 
     #[test]

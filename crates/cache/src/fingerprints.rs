@@ -34,31 +34,20 @@ use sjava_analysis::callgraph::{CallGraph, MethodRef};
 use sjava_lattice::{hash_debug, Fnv64};
 use sjava_syntax::ast::{Block, Expr, LValue, MethodDecl, Program, Stmt};
 use sjava_syntax::span::Span;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Digest of every class interface in declaration order, folded from the
 /// per-class [`sjava_analysis::shard::class_interface_hash`] summaries —
 /// the same content addresses the per-method checkers read, so "the
 /// interface summaries agree" and "the cache key matches" are one
 /// judgment. Keys
-/// the cached lattice model, and seeds every per-method fingerprint so
-/// interface changes invalidate all method entries.
+/// the cached lattice model and seeds the coarse [`method_fps`] oracle.
 pub fn iface_hash(program: &Program) -> u64 {
     let mut h = Fnv64::new();
     h.write_usize(program.classes.len());
     for class in &program.classes {
         h.write_u64(sjava_analysis::shard::class_interface_hash(class));
     }
-    h.finish()
-}
-
-/// Position-independent digest of a method's *name*: the key for
-/// persisted per-method check-time measurements, which must survive body
-/// and interface edits (a renamed method simply starts a fresh series).
-pub fn name_hash(mref: &MethodRef) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_str(&mref.0);
-    h.write_str(&mref.1);
     h.finish()
 }
 
@@ -83,23 +72,13 @@ pub fn local_fp(program: &Program, mref: &MethodRef) -> u64 {
 /// and the fingerprints of `m`'s direct callees in sorted order. Because
 /// callee fingerprints fold in transitively, "fingerprint has no cache
 /// entry" is exactly the dirty-cone test — no separate propagation pass
-/// is needed. `local` memoizes per-method local fingerprints so a caller
-/// that already computed some (e.g. for callee-cache keys) never hashes
-/// a method body twice in one check.
-pub fn method_fps(
-    program: &Program,
-    cg: &CallGraph,
-    iface: u64,
-    local: &mut HashMap<MethodRef, u64>,
-) -> BTreeMap<MethodRef, u64> {
+/// is needed.
+pub fn method_fps(program: &Program, cg: &CallGraph, iface: u64) -> BTreeMap<MethodRef, u64> {
     let mut fps: BTreeMap<MethodRef, u64> = BTreeMap::new();
     for mref in &cg.topo {
         let mut h = Fnv64::new();
         h.write_u64(iface);
-        let lfp = *local
-            .entry(mref.clone())
-            .or_insert_with(|| local_fp(program, mref));
-        h.write_u64(lfp);
+        h.write_u64(local_fp(program, mref));
         if let Some(cs) = cg.calls.get(mref) {
             h.write_usize(cs.len());
             for c in cs {
@@ -416,7 +395,7 @@ mod tests {
     }
 
     fn fps(p: &Program) -> BTreeMap<MethodRef, u64> {
-        method_fps(p, &graph(p), iface_hash(p), &mut HashMap::new())
+        method_fps(p, &graph(p), iface_hash(p))
     }
 
     #[test]

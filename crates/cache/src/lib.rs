@@ -20,9 +20,9 @@
 //! [`sjava_syntax::track::ReadScope`], which records the exact set of
 //! interface facts the analyses consulted (as
 //! [`sjava_syntax::track::DepKey`]s). The read-set is fingerprinted
-//! (`deps` module) and stored alongside the entry — in memory and, for
-//! store-backed sessions, as a checksummed `.deps` object published with
-//! the same atomic-rename discipline as entries. On the next check, an
+//! (`deps` module) and stored inside the entry — in memory and, for
+//! store-backed sessions, in the entry's one checksummed store object,
+//! after the analysis result. On the next check, an
 //! entry whose key matches is **green** (replayed) iff every recorded
 //! fact re-fingerprints byte-identically on the new program, and **red**
 //! (rechecked) otherwise. An interface edit therefore re-analyzes only
@@ -31,13 +31,17 @@
 //! O(program).
 //!
 //! What is never cached: lattice construction is keyed separately on the
-//! interface hash; call-graph assembly, the eviction event-loop check,
-//! and the shared-location event-loop check are always recomputed (they
-//! read global state and are cheap relative to per-method analysis).
+//! interface hash; the call graph (every per-method callee set included),
+//! the eviction event-loop check, and the shared-location event-loop
+//! check are recomputed on every check (they read global state and are
+//! cheap relative to per-method analysis). Re-check fan-outs are
+//! scheduled statically, by the same [`checker::method_cost`] estimate
+//! the cold path uses; no measured timings are kept.
 //!
 //! Setting `SJAVA_CACHE_DIR` (see [`CACHE_DIR_ENV`]) backs the session
 //! with the concurrent content-addressed [`store::ArtifactStore`]:
-//! per-method results publish as individual objects with atomic renames,
+//! each per-method result and its read-set publish as one object with an
+//! atomic rename,
 //! so any number of processes — concurrent `sjava check` runs, parallel
 //! CI jobs — can share one store directory. Corrupt or foreign-format
 //! objects (and old monolithic `cache.bin` files from format v3 and
@@ -72,7 +76,7 @@ use sjava_core::shared::SharedMember;
 use sjava_core::{
     checker, linear, shared, CacheStats, CheckReport, Lattices, ParseFailure, PhaseTimings,
 };
-use sjava_lattice::{hash_debug, mix, Fnv64};
+use sjava_lattice::{hash_debug, Fnv64};
 use sjava_syntax::ast::Program;
 use sjava_syntax::diag::{Diagnostic, Diagnostics};
 use sjava_syntax::track::{DepKey, ReadScope};
@@ -81,7 +85,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use fingerprints::{iface_hash, local_fp, name_hash};
+use fingerprints::{iface_hash, local_fp};
 pub use store::ArtifactStore;
 
 /// Environment variable naming the on-disk cache directory. When set,
@@ -184,6 +188,10 @@ pub(crate) struct MethodEntry {
     pub term_failures: usize,
     /// Termination diagnostics, in source order.
     pub term: Vec<Diagnostic>,
+    /// The recorded read-set, as `(fact, fingerprint)` pairs evaluated
+    /// on the program the entry was computed against. The entry replays
+    /// only while every pair re-evaluates identically.
+    pub deps: Vec<(DepKey, u64)>,
 }
 
 /// The cached lattice model, valid while the interface hash matches.
@@ -209,11 +217,6 @@ struct LatticeEntry {
 /// sharing one `SJAVA_CACHE_DIR` replay each other's results.
 pub struct IncrementalChecker {
     entries: HashMap<u64, MethodEntry>,
-    /// The recorded read-set of each entry, as `(fact, fingerprint)`
-    /// pairs evaluated on the program the entry was computed against.
-    /// An entry replays only while every pair re-evaluates identically.
-    dep_records: HashMap<u64, Vec<(DepKey, u64)>>,
-    callee_cache: HashMap<u64, BTreeSet<MethodRef>>,
     lattice_cache: Option<LatticeEntry>,
     last_keys: BTreeMap<MethodRef, u64>,
     /// The methods the most recent check actually re-analyzed (the miss
@@ -221,10 +224,6 @@ pub struct IncrementalChecker {
     /// depend on it; tests use it to prove the re-check set is a subset
     /// of the coarse fingerprint-dirty cone.
     last_rechecked: Vec<MethodRef>,
-    /// Measured flow-check nanoseconds per method-name hash; preferred
-    /// over the static statement-weight estimate when scheduling warm
-    /// fan-outs (scheduling only — results never depend on timings).
-    times: HashMap<u64, u64>,
     store: Option<ArtifactStore>,
     persist_min: u64,
 }
@@ -240,12 +239,9 @@ impl IncrementalChecker {
     pub fn new() -> Self {
         IncrementalChecker {
             entries: HashMap::new(),
-            dep_records: HashMap::new(),
-            callee_cache: HashMap::new(),
             lattice_cache: None,
             last_keys: BTreeMap::new(),
             last_rechecked: Vec::new(),
-            times: HashMap::new(),
             store: None,
             persist_min: persist_min_weight(),
         }
@@ -273,15 +269,8 @@ impl IncrementalChecker {
             }
         };
         IncrementalChecker {
-            entries: HashMap::new(),
-            dep_records: HashMap::new(),
-            callee_cache: HashMap::new(),
-            lattice_cache: None,
-            last_keys: BTreeMap::new(),
-            last_rechecked: Vec::new(),
-            times: HashMap::new(),
             store,
-            persist_min: persist_min_weight(),
+            ..Self::new()
         }
     }
 
@@ -329,12 +318,9 @@ impl IncrementalChecker {
     /// are content-addressed and remain valid for any future session.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.dep_records.clear();
-        self.callee_cache.clear();
         self.lattice_cache = None;
         self.last_keys.clear();
         self.last_rechecked.clear();
-        self.times.clear();
     }
 
     /// Parses and checks source text incrementally, charging parse time
@@ -410,30 +396,11 @@ impl IncrementalChecker {
         };
         timings.lattice_build = t.elapsed();
 
-        // Call graph: assembly is recomputed, per-method callee sets are
-        // served from the session (or the store) keyed on (iface, local
-        // body) — the set does not depend on callees, so the local
-        // fingerprint suffices. Local fingerprints are memoized for the
-        // whole check: hashing a method body is the dominant fixed cost
-        // of a warm check, so it must happen at most once per method.
+        // Call graph: rebuilt from scratch on every check — walking every
+        // body for its callees costs less than any lookup that could
+        // replace it.
         let t = Instant::now();
-        let mut local_fps: HashMap<MethodRef, u64> = HashMap::new();
-        let callee_cache = &mut self.callee_cache;
-        let store = self.store.as_ref();
-        let cg = callgraph::build_with(program, &mut global, |mref| {
-            let lfp = *local_fps
-                .entry(mref.clone())
-                .or_insert_with(|| local_fp(program, mref));
-            let ckey = mix(iface, lfp);
-            callee_cache
-                .entry(ckey)
-                .or_insert_with(|| {
-                    store
-                        .and_then(|s| s.get_callees(ckey))
-                        .unwrap_or_else(|| callgraph::method_callees(program, mref))
-                })
-                .clone()
-        });
+        let cg = callgraph::build(program, &mut global);
         timings.callgraph = t.elapsed();
         let Some(cg) = cg else {
             global.sort_stable();
@@ -476,10 +443,10 @@ impl IncrementalChecker {
         enum Outcome {
             /// In-memory entry, read-set verified green: replay.
             MemGreen,
-            /// Store entry + paired read-set verified green: adopt and
-            /// replay. Boxed: an entry is ~200 bytes and this variant is
-            /// rare relative to the green/fresh ones sized per wave slot.
-            StoreGreen(Box<MethodEntry>, Vec<(DepKey, u64)>),
+            /// Store entry, read-set verified green: adopt and replay.
+            /// Boxed: an entry is ~200 bytes and this variant is rare
+            /// relative to the green/fresh ones sized per wave slot.
+            StoreGreen(Box<MethodEntry>),
             /// Computed fresh; `red` distinguishes "had an entry whose
             /// read-set went stale" from a plain miss.
             Fresh { red: bool, deps: Vec<DepKey> },
@@ -496,11 +463,7 @@ impl IncrementalChecker {
             let results: Vec<WaveResult> = sjava_par::run_indexed(wave.len(), |i| {
                 let mref = &wave[i];
                 let mut h = Fnv64::new();
-                let lfp = local_fps
-                    .get(mref)
-                    .copied()
-                    .unwrap_or_else(|| local_fp(program, mref));
-                h.write_u64(lfp);
+                h.write_u64(local_fp(program, mref));
                 if let Some(cs) = cg.calls.get(mref) {
                     h.write_usize(cs.len());
                     for c in cs {
@@ -536,11 +499,7 @@ impl IncrementalChecker {
                 if let Some(e) = self.entries.get(&key) {
                     // Red-green revalidation: replay only while every
                     // recorded fact fingerprint is byte-unchanged.
-                    let green = self
-                        .dep_records
-                        .get(&key)
-                        .is_some_and(|deps| factdb.deps_green(deps));
-                    if green {
+                    if factdb.deps_green(&e.deps) {
                         return (
                             key,
                             Some(e.summary.clone()),
@@ -554,27 +513,21 @@ impl IncrementalChecker {
                 }
                 // Cross-process warm path: another session (an earlier
                 // `sjava check`, a CI job) may have published this
-                // fingerprint; one lock-free store read replays it — but
-                // only with its paired read-set (entry checksums must
-                // match, so a torn entry/deps update can never combine)
-                // and only after that read-set verifies green.
-                if let Some((e, efp)) = self.store.as_ref().and_then(|s| s.get_entry_with_fp(key)) {
-                    if let Some((deps, rec_efp)) = self.store.as_ref().and_then(|s| s.get_deps(key))
-                    {
-                        if rec_efp == efp && factdb.deps_green(&deps) {
-                            let sh = e
-                                .shared_present
-                                .then(|| (e.shared_clears.clone(), e.shared_reads.clone()));
-                            return (
-                                key,
-                                Some(e.summary.clone()),
-                                sh,
-                                Outcome::StoreGreen(Box::new(e), deps),
-                            );
-                        }
+                // fingerprint; one lock-free store read replays it, but
+                // only after the read-set stored with it verifies green.
+                // A stale entry falls through to a plain miss.
+                if let Some(e) = self.store.as_ref().and_then(|s| s.get_entry(key)) {
+                    if factdb.deps_green(&e.deps) {
+                        let sh = e
+                            .shared_present
+                            .then(|| (e.shared_clears.clone(), e.shared_reads.clone()));
+                        return (
+                            key,
+                            Some(e.summary.clone()),
+                            sh,
+                            Outcome::StoreGreen(Box::new(e)),
+                        );
                     }
-                    // Unverifiable or stale: fall through to a plain miss —
-                    // the store is never trusted without its deps.
                 }
                 let (summary, sh, deps) = fresh();
                 (key, summary, sh, Outcome::Fresh { red: false, deps })
@@ -582,9 +535,8 @@ impl IncrementalChecker {
             for (mref, (key, summary, sh, outcome)) in wave.iter().zip(results) {
                 match outcome {
                     Outcome::MemGreen => stats.green += 1,
-                    Outcome::StoreGreen(e, deps) => {
+                    Outcome::StoreGreen(e) => {
                         self.entries.insert(key, *e);
-                        self.dep_records.insert(key, deps);
                         stats.green += 1;
                     }
                     Outcome::Fresh { red, deps } => {
@@ -594,7 +546,6 @@ impl IncrementalChecker {
                             // the per-method passes and is re-admitted
                             // with its new read-set.
                             self.entries.remove(&key);
-                            self.dep_records.remove(&key);
                             stats.red += 1;
                         }
                         wave_deps.insert(mref.clone(), deps);
@@ -650,53 +601,31 @@ impl IncrementalChecker {
 
         // Flow check: fan out over the dirty indices only, then merge
         // cached and fresh buffers in topological order — the same order
-        // the full pipeline merges, so output bytes match. Scheduling
-        // prefers each method's *measured* duration from a prior run
-        // (session- or store-recorded) over the static statement-weight
-        // estimate; timings only order the work queue, never the output.
+        // the full pipeline merges, so output bytes match. The work queue
+        // is ordered by the same static cost estimate as the cold path.
         let t = Instant::now();
-        let mut cost: Vec<u64> = Vec::with_capacity(missing.len());
-        for &i in &missing {
-            let nh = name_hash(&cg.topo[i]);
-            let measured = match self.times.get(&nh) {
-                Some(&ns) => Some(ns),
-                None => {
-                    let fetched = self.store.as_ref().and_then(|s| s.get_time(nh));
-                    if let Some(ns) = fetched {
-                        self.times.insert(nh, ns);
-                    }
-                    fetched
-                }
-            };
-            cost.push(match measured {
-                Some(ns) => ns.max(1),
-                None => checker::method_cost(&whole, &lattices, &cg.topo[i]),
-            });
-        }
-        let mut flow_nanos: Vec<(u64, u64)> = Vec::with_capacity(missing.len());
+        let cost: Vec<u64> = missing
+            .iter()
+            .map(|&i| checker::method_cost(&whole, &lattices, &cg.topo[i]))
+            .collect();
         let mut flow_deps: BTreeMap<usize, Vec<DepKey>> = BTreeMap::new();
         let fresh_flow: BTreeMap<usize, Diagnostics> =
             sjava_par::run_sparse_weighted(&missing, &cost, |i| {
                 let scope = ReadScope::begin();
-                let t0 = Instant::now();
                 let d = checker::check_method_flows(
                     &whole,
                     &lattices,
                     &cg.topo[i],
                     &eviction.summaries,
                 );
-                (d, t0.elapsed().as_nanos() as u64, scope.finish())
+                (d, scope.finish())
             })
             .into_iter()
-            .map(|(i, (d, ns, deps))| {
-                flow_nanos.push((name_hash(&cg.topo[i]), ns));
+            .map(|(i, (d, deps))| {
                 flow_deps.insert(i, deps);
                 (i, d)
             })
             .collect();
-        for &(nh, ns) in &flow_nanos {
-            self.times.insert(nh, ns);
-        }
         for i in 0..cg.topo.len() {
             match fresh_flow.get(&i) {
                 Some(d) => diags.extend(d.clone()),
@@ -779,8 +708,8 @@ impl IncrementalChecker {
         }
         timings.termination = t.elapsed();
 
-        // Admit the freshly-computed results into the cache, each paired
-        // with the union of every read-set its phases recorded (wave
+        // Admit the freshly-computed results into the cache, each carrying
+        // the union of every read-set its phases recorded (wave
         // summary + shared, flow, aliasing, termination), fingerprinted
         // against *this* program — the admission side of red-green.
         let admit_db = deps::FactDb::new(program, &lattices, &members);
@@ -790,6 +719,13 @@ impl IncrementalChecker {
                 .remove(&i)
                 .map(|(n, d)| (n, d.into_vec()))
                 .unwrap_or_default();
+            // BTreeSet union: deterministic read-set order regardless of
+            // which phase recorded a fact first or on which thread.
+            let mut read_set: BTreeSet<DepKey> = BTreeSet::new();
+            read_set.extend(wave_deps.remove(mref).unwrap_or_default());
+            read_set.extend(flow_deps.remove(&i).unwrap_or_default());
+            read_set.extend(alias_deps.remove(&i).unwrap_or_default());
+            read_set.extend(term_deps.remove(&i).unwrap_or_default());
             let entry = MethodEntry {
                 summary: eviction.summaries.get(mref).cloned().unwrap_or_default(),
                 flow: fresh_flow
@@ -805,16 +741,8 @@ impl IncrementalChecker {
                 shared_reads: shared_reads.get(mref).cloned().unwrap_or_default(),
                 term_failures,
                 term,
+                deps: admit_db.fingerprint(read_set),
             };
-            // BTreeSet union: deterministic read-set order regardless of
-            // which phase recorded a fact first or on which thread.
-            let mut read_set: BTreeSet<DepKey> = BTreeSet::new();
-            read_set.extend(wave_deps.remove(mref).unwrap_or_default());
-            read_set.extend(flow_deps.remove(&i).unwrap_or_default());
-            read_set.extend(alias_deps.remove(&i).unwrap_or_default());
-            read_set.extend(term_deps.remove(&i).unwrap_or_default());
-            self.dep_records
-                .insert(keys[mref], admit_db.fingerprint(read_set));
             self.entries.insert(keys[mref], entry);
         }
         drop(admit_db);
@@ -834,20 +762,7 @@ impl IncrementalChecker {
             if weight >= self.persist_min {
                 for &i in &missing {
                     let key = keys[&cg.topo[i]];
-                    // The deps object embeds the entry payload's checksum,
-                    // pairing the two publishes: a reader that observes
-                    // mismatched halves treats the key as a miss.
-                    if let Ok(efp) = store.put_entry(key, &self.entries[&key]) {
-                        if let Some(deps) = self.dep_records.get(&key) {
-                            let _ = store.put_deps(key, deps, efp);
-                        }
-                    }
-                }
-                for (ckey, set) in &self.callee_cache {
-                    let _ = store.put_callees(*ckey, set);
-                }
-                for &(nh, ns) in &flow_nanos {
-                    let _ = store.put_time(nh, ns);
+                    let _ = store.put_entry(key, &self.entries[&key]);
                 }
                 if let Some(max) = max_bytes_budget() {
                     store.evict_to(max);

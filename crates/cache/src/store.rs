@@ -2,36 +2,30 @@
 //! directory-backed [`crate::IncrementalChecker`] sessions, shared by any
 //! number of `sjava check` processes pointed at one `SJAVA_CACHE_DIR`.
 //!
-//! ## Layout (format v5)
+//! ## Layout (format v6)
 //!
 //! Earlier formats serialized the whole session into one monolithic
 //! `cache.bin` rewritten after every check — a design that cannot be
 //! shared by concurrent processes (last writer wins, dropping half of
 //! each process's entries) and that forces a full decode up front. Version
 //! 4 introduced **one object per artifact** under a fan-out directory;
-//! version 5 re-keys entries for dependency-tracked revalidation (the
-//! key no longer folds the whole-program interface hash) and pairs each
-//! entry with a recorded read-set:
+//! version 5 re-keyed entries for dependency-tracked revalidation (the
+//! key no longer folds the whole-program interface hash). Version 6
+//! keeps exactly one object kind, one object per checked method:
 //!
 //! ```text
-//! <dir>/v5/objects/<hh>/<16-hex-key>.<kind>
+//! <dir>/v6/objects/<hh>/<16-hex-key>.entry
 //! ```
 //!
-//! where `<hh>` is the first byte of the key in hex (256-way fan-out) and
-//! `<kind>` is one of:
-//!
-//! - `entry` — a per-method analysis result ([`crate::MethodEntry`]),
-//!   keyed by the method's content fingerprint (body + callee
-//!   summaries; interface facts live in the paired `deps` object);
-//! - `deps` — the read-set recorded while that entry was computed:
-//!   `(DepKey, fingerprint)` pairs plus the checksum of the entry
-//!   payload they were recorded for, so readers never combine an entry
-//!   and a read-set from different publishes;
-//! - `callees` — a method's direct-callee set, keyed on
-//!   `mix(iface_hash, local_fp)`;
-//! - `time` — the method's last measured flow-check duration in
-//!   nanoseconds, keyed by the *name* hash (stable across edits), feeding
-//!   the fan-out cost model on warm runs.
+//! where `<hh>` is the first byte of the key in hex (256-way fan-out).
+//! The key is the method's content fingerprint (body + callee
+//! summaries), and the payload is the per-method analysis result
+//! ([`crate::MethodEntry`]) followed by the read-set recorded while it
+//! was computed: the `(DepKey, fingerprint)` pairs that red-green
+//! revalidation re-evaluates. Result and read-set share one checksum and
+//! one atomic rename, so a reader can never combine halves from
+//! different publishes. Callee sets and check times are not stored:
+//! recomputing them costs less than reading them back.
 //!
 //! Each object file is `MAGIC ‖ version ‖ FNV-64(payload) ‖ payload`.
 //!
@@ -58,7 +52,6 @@
 //! degrade to clean misses.
 
 use crate::MethodEntry;
-use sjava_analysis::callgraph::MethodRef;
 use sjava_analysis::heappath::HeapPath;
 use sjava_analysis::written::MethodSummary;
 use sjava_core::shared::SharedMember;
@@ -71,41 +64,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MAGIC: &[u8; 10] = b"SJAVACACHE";
 /// Store format version. Versions 1–3 were the monolithic `cache.bin`
 /// formats; version 4 introduced the per-object content-addressed store;
-/// version 5 re-keys entries for dependency-tracked revalidation and
-/// adds the `deps` object kind. Old formats live at different paths
-/// entirely and are never read — a v5 store opened over an older
+/// version 5 re-keyed entries for dependency-tracked revalidation;
+/// version 6 folds each entry's read-set into its entry object and drops
+/// every other object kind. Old formats live at different paths
+/// entirely and are never read — a v6 store opened over an older
 /// directory starts from clean misses.
-const VERSION: u32 = 5;
+const VERSION: u32 = 6;
+
+/// File extension of the store's one object kind.
+const ENTRY_EXT: &str = "entry";
 
 /// Environment variable bounding the store's total size in bytes. When
 /// set, every persisting check evicts oldest-modified objects until the
 /// store fits. Malformed values warn once on stderr and leave the store
 /// unbounded.
 pub const MAX_BYTES_ENV: &str = "SJAVA_CACHE_MAX_BYTES";
-
-/// Distinguishes the artifact kinds sharing one store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// Per-method analysis result, keyed by content fingerprint.
-    Entry,
-    /// Recorded read-set of an entry, under the same key as the entry.
-    Deps,
-    /// Direct-callee set, keyed by `mix(iface, local_fp)`.
-    Callees,
-    /// Measured flow-check nanoseconds, keyed by method-name hash.
-    Time,
-}
-
-impl Kind {
-    fn ext(self) -> &'static str {
-        match self {
-            Kind::Entry => "entry",
-            Kind::Deps => "deps",
-            Kind::Callees => "callees",
-            Kind::Time => "time",
-        }
-    }
-}
 
 /// Monotone per-process counter making temp-file names unique even when
 /// several threads publish concurrently.
@@ -144,26 +117,24 @@ impl ArtifactStore {
         Ok(ArtifactStore { root })
     }
 
-    /// The object-tree root (`<dir>/v5/objects`), exposed for tests and
+    /// The object-tree root (`<dir>/v6/objects`), exposed for tests and
     /// maintenance tooling.
     pub fn objects_root(&self) -> &Path {
         &self.root
     }
 
-    /// Path of the object holding `kind`/`key`.
-    pub fn object_path(&self, kind: Kind, key: u64) -> PathBuf {
+    /// Path of the object holding `key`.
+    pub fn object_path(&self, key: u64) -> PathBuf {
         let hex = format!("{key:016x}");
-        self.root
-            .join(&hex[..2])
-            .join(format!("{hex}.{}", kind.ext()))
+        self.root.join(&hex[..2]).join(format!("{hex}.{ENTRY_EXT}"))
     }
 
     /// Reads and verifies an object's payload. A missing, torn,
     /// truncated, bit-flipped, or foreign-format file reads as `None`;
     /// verifiably corrupt files are best-effort deleted so the next
     /// writer republishes them.
-    pub fn get(&self, kind: Kind, key: u64) -> Option<Vec<u8>> {
-        let path = self.object_path(kind, key);
+    pub fn get(&self, key: u64) -> Option<Vec<u8>> {
+        let path = self.object_path(key);
         let buf = std::fs::read(&path).ok()?;
         match decode_object(&buf) {
             Some(payload) => Some(payload.to_vec()),
@@ -174,21 +145,16 @@ impl ArtifactStore {
         }
     }
 
-    /// Publishes `payload` under `kind`/`key` atomically (temp file +
-    /// rename). With `replace: false` an existing object is left
-    /// untouched — entries are content-addressed, so the bytes on disk
-    /// are already the right ones and skipping the write is the fast
-    /// path. `replace: true` overwrites (used for `time` objects, whose
-    /// measurements refresh on every run).
+    /// Publishes `payload` under `key` atomically (temp file + rename),
+    /// replacing any object already there: the key does not fold
+    /// interface facts, so after an interface edit the same key can
+    /// legitimately hold a different result and read-set.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; callers treat persistence as best-effort.
-    pub fn put(&self, kind: Kind, key: u64, payload: &[u8], replace: bool) -> std::io::Result<()> {
-        let path = self.object_path(kind, key);
-        if !replace && path.exists() {
-            return Ok(());
-        }
+    pub fn put(&self, key: u64, payload: &[u8]) -> std::io::Result<()> {
+        let path = self.object_path(key);
         let dir = path.parent().expect("object path has a fan-out parent");
         std::fs::create_dir_all(dir)?;
         let mut buf = Vec::with_capacity(MAGIC.len() + 12 + payload.len());
@@ -219,7 +185,7 @@ impl ArtifactStore {
         self.walk().iter().map(|(_, len, _)| len).sum()
     }
 
-    /// Number of objects currently in the store (any kind).
+    /// Number of objects currently in the store.
     pub fn object_count(&self) -> usize {
         self.walk().len()
     }
@@ -227,10 +193,9 @@ impl ArtifactStore {
     /// Deletes oldest-modified objects until the store holds at most
     /// `max_bytes`, returning the number of objects evicted. Eviction is
     /// approximate LRU: publish time stands in for use time, which is
-    /// exact for `time` objects (rewritten each run) and conservative for
-    /// content-addressed entries (old-but-hot entries may be evicted and
-    /// will simply be recomputed and republished — a disk-space policy,
-    /// never a correctness event).
+    /// conservative for content-addressed entries (old-but-hot entries
+    /// may be evicted and will simply be recomputed and republished — a
+    /// disk-space policy, never a correctness event).
     pub fn evict_to(&self, max_bytes: u64) -> usize {
         let mut objects = self.walk();
         let mut total: u64 = objects.iter().map(|(_, len, _)| len).sum();
@@ -282,73 +247,21 @@ impl ArtifactStore {
 
     // ---- typed helpers over the raw object API -------------------------
 
-    /// Fetches and decodes a per-method entry together with the checksum
-    /// of its raw payload — the handle that pairs it with a `deps`
-    /// object published for the same bytes.
-    pub(crate) fn get_entry_with_fp(&self, key: u64) -> Option<(MethodEntry, u64)> {
-        let payload = self.get(Kind::Entry, key)?;
-        Some((decode_entry(&payload)?, checksum(&payload)))
+    /// Fetches and decodes a per-method entry with its read-set. An
+    /// object whose checksum holds but whose payload does not decode (a
+    /// truncated read-set, a bad tag, trailing bytes) is deleted like
+    /// any other corrupt object and reads as a miss.
+    pub(crate) fn get_entry(&self, key: u64) -> Option<MethodEntry> {
+        let entry = decode_entry(&self.get(key)?);
+        if entry.is_none() {
+            let _ = std::fs::remove_file(self.object_path(key));
+        }
+        entry
     }
 
-    /// Publishes a per-method entry, returning the payload checksum to
-    /// pair with its read-set. Always replaces: since the key no longer
-    /// folds interface facts, the same key can legitimately hold a
-    /// different result after an interface edit (the paired `deps`
-    /// object is what distinguishes them).
-    pub(crate) fn put_entry(&self, key: u64, entry: &MethodEntry) -> std::io::Result<u64> {
-        let payload = encode_entry(entry);
-        let fp = checksum(&payload);
-        self.put(Kind::Entry, key, &payload, true)?;
-        Ok(fp)
-    }
-
-    /// Fetches and decodes an entry's recorded read-set, returning the
-    /// dep list and the entry-payload checksum it was recorded for.
-    pub(crate) fn get_deps(
-        &self,
-        key: u64,
-    ) -> Option<(Vec<(sjava_syntax::track::DepKey, u64)>, u64)> {
-        crate::deps::decode_deps(&self.get(Kind::Deps, key)?)
-    }
-
-    /// Publishes an entry's recorded read-set, paired (via `entry_fp`)
-    /// with the entry payload it was recorded alongside.
-    pub(crate) fn put_deps(
-        &self,
-        key: u64,
-        deps: &[(sjava_syntax::track::DepKey, u64)],
-        entry_fp: u64,
-    ) -> std::io::Result<()> {
-        self.put(
-            Kind::Deps,
-            key,
-            &crate::deps::encode_deps(deps, entry_fp),
-            true,
-        )
-    }
-
-    /// Fetches and decodes a callee set.
-    pub(crate) fn get_callees(&self, key: u64) -> Option<BTreeSet<MethodRef>> {
-        decode_callees(&self.get(Kind::Callees, key)?)
-    }
-
-    /// Publishes a callee set (skip-if-exists).
-    pub(crate) fn put_callees(&self, key: u64, set: &BTreeSet<MethodRef>) -> std::io::Result<()> {
-        self.put(Kind::Callees, key, &encode_callees(set), false)
-    }
-
-    /// Fetches a recorded flow-check duration in nanoseconds.
-    pub(crate) fn get_time(&self, key: u64) -> Option<u64> {
-        let payload = self.get(Kind::Time, key)?;
-        Reader::new(&payload).u64()
-    }
-
-    /// Publishes a flow-check duration (always replaces — measurements
-    /// refresh every run).
-    pub(crate) fn put_time(&self, key: u64, nanos: u64) -> std::io::Result<()> {
-        let mut payload = Vec::with_capacity(8);
-        wire::put_u64(&mut payload, nanos);
-        self.put(Kind::Time, key, &payload, true)
+    /// Publishes a per-method entry together with its read-set.
+    pub(crate) fn put_entry(&self, key: u64, entry: &MethodEntry) -> std::io::Result<()> {
+        self.put(key, &encode_entry(entry))
     }
 }
 
@@ -391,8 +304,8 @@ fn put_members(buf: &mut Vec<u8>, members: &BTreeSet<SharedMember>) {
     }
 }
 
-/// Deterministic encoding of one per-method entry (equal entries produce
-/// equal bytes — all sets are ordered).
+/// Deterministic encoding of one per-method entry, result then read-set
+/// (equal entries produce equal bytes — all sets are ordered).
 pub(crate) fn encode_entry(e: &MethodEntry) -> Vec<u8> {
     let mut buf = Vec::new();
     put_paths(&mut buf, &e.summary.reads);
@@ -405,6 +318,7 @@ pub(crate) fn encode_entry(e: &MethodEntry) -> Vec<u8> {
     put_members(&mut buf, &e.shared_reads);
     wire::put_u64(&mut buf, e.term_failures as u64);
     wire::put_diags(&mut buf, &e.term);
+    crate::deps::put_deps(&mut buf, &e.deps);
     buf
 }
 
@@ -452,30 +366,9 @@ pub(crate) fn decode_entry(payload: &[u8]) -> Option<MethodEntry> {
         shared_reads: members(&mut r)?,
         term_failures: r.u64()? as usize,
         term: r.diags()?,
+        deps: crate::deps::read_deps(&mut r)?,
     };
     r.is_exhausted().then_some(entry)
-}
-
-/// Deterministic encoding of a direct-callee set.
-pub(crate) fn encode_callees(set: &BTreeSet<MethodRef>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    wire::put_u64(&mut buf, set.len() as u64);
-    for mref in set {
-        wire::put_str(&mut buf, &mref.0);
-        wire::put_str(&mut buf, &mref.1);
-    }
-    buf
-}
-
-/// Decodes a direct-callee set.
-pub(crate) fn decode_callees(payload: &[u8]) -> Option<BTreeSet<MethodRef>> {
-    let mut r = Reader::new(payload);
-    let n = r.count()?;
-    let mut out = BTreeSet::new();
-    for _ in 0..n {
-        out.insert((r.string()?, r.string()?));
-    }
-    r.is_exhausted().then_some(out)
 }
 
 #[cfg(test)]
@@ -487,6 +380,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sjava-store-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Replaces a file's bytes with a fresh inode. Truncating a file that
+    /// holds data in place makes ext4 (`auto_da_alloc`) start writeback,
+    /// and the store's next delete of that file waits for it.
+    fn overwrite(path: &Path, bytes: &[u8]) {
+        let _ = std::fs::remove_file(path);
+        std::fs::write(path, bytes).expect("write object");
     }
 
     fn sample_entry() -> MethodEntry {
@@ -511,6 +412,10 @@ mod tests {
                 "loop may not terminate",
                 Span::new(10, 20),
             )],
+            deps: vec![
+                (sjava_syntax::track::DepKey::Iface("A".into()), 11),
+                (sjava_syntax::track::DepKey::SharedGate, 22),
+            ],
         }
     }
 
@@ -519,41 +424,26 @@ mod tests {
         let dir = scratch("roundtrip");
         let store = ArtifactStore::open(&dir).expect("open");
         let entry = sample_entry();
-        let efp = store.put_entry(42, &entry).expect("put entry");
-        assert_eq!(store.get_entry_with_fp(42).expect("hit"), (entry, efp));
-        assert_eq!(store.get_entry_with_fp(43), None, "unrelated key misses");
-
-        let deps = vec![
-            (sjava_syntax::track::DepKey::Iface("A".into()), 11u64),
-            (sjava_syntax::track::DepKey::SharedGate, 22u64),
-        ];
-        store.put_deps(42, &deps, efp).expect("put deps");
-        assert_eq!(store.get_deps(42).expect("hit"), (deps, efp));
-
-        let callees: BTreeSet<MethodRef> = [("A".to_string(), "f".to_string())].into();
-        store.put_callees(9, &callees).expect("put callees");
-        assert_eq!(store.get_callees(9).expect("hit"), callees);
-
-        store.put_time(7, 123_456).expect("put time");
-        assert_eq!(store.get_time(7), Some(123_456));
-        store.put_time(7, 999).expect("replace time");
-        assert_eq!(store.get_time(7), Some(999), "time objects replace");
+        assert!(!entry.deps.is_empty(), "the read-set must ride along");
+        store.put_entry(42, &entry).expect("put entry");
+        assert_eq!(store.get_entry(42).expect("hit"), entry);
+        assert_eq!(store.get_entry(43), None, "unrelated key misses");
+        assert_eq!(store.object_count(), 1, "one object per entry");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn entry_replace_repairs_the_pairing_checksum() {
-        // The same key can hold a different result after an interface
-        // edit; re-publishing must both rewrite the bytes and hand back
-        // the new checksum so the paired deps object follows.
+    fn entry_publish_replaces() {
+        // The same key can hold a different result or read-set after an
+        // interface edit; re-publishing must rewrite both halves.
         let dir = scratch("replace");
         let store = ArtifactStore::open(&dir).expect("open");
-        let fp1 = store.put_entry(3, &sample_entry()).expect("put");
+        store.put_entry(3, &sample_entry()).expect("put");
         let mut other = sample_entry();
         other.term_failures = 9;
-        let fp2 = store.put_entry(3, &other).expect("re-put");
-        assert_ne!(fp1, fp2);
-        assert_eq!(store.get_entry_with_fp(3).expect("hit"), (other, fp2));
+        other.deps[0].1 = 99;
+        store.put_entry(3, &other).expect("re-put");
+        assert_eq!(store.get_entry(3).expect("hit"), other);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -562,20 +452,20 @@ mod tests {
         let dir = scratch("bitflip");
         let store = ArtifactStore::open(&dir).expect("open");
         store.put_entry(1, &sample_entry()).expect("put");
-        let path = store.object_path(Kind::Entry, 1);
+        let path = store.object_path(1);
         let clean = std::fs::read(&path).expect("read");
         for pos in 0..clean.len() {
             let mut corrupt = clean.clone();
             corrupt[pos] ^= 0x10;
-            std::fs::write(&path, &corrupt).expect("write");
+            overwrite(&path, &corrupt);
             assert_eq!(
-                store.get_entry_with_fp(1),
+                store.get_entry(1),
                 None,
                 "flipped byte at {pos} must invalidate the object"
             );
             // The corrupt object was deleted so a writer can republish.
             assert!(!path.exists(), "corrupt object at {pos} must be removed");
-            std::fs::write(&path, &clean).expect("restore");
+            overwrite(&path, &clean);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -585,43 +475,55 @@ mod tests {
         let dir = scratch("truncate");
         let store = ArtifactStore::open(&dir).expect("open");
         store.put_entry(5, &sample_entry()).expect("put");
-        let path = store.object_path(Kind::Entry, 5);
+        let path = store.object_path(5);
         let clean = std::fs::read(&path).expect("read");
         for cut in 0..clean.len() {
-            std::fs::write(&path, &clean[..cut]).expect("truncate");
-            assert_eq!(
-                store.get_entry_with_fp(5),
-                None,
-                "truncation at {cut} must miss"
-            );
+            overwrite(&path, &clean[..cut]);
+            assert_eq!(store.get_entry(5), None, "truncation at {cut} must miss");
         }
         std::fs::write(&path, b"NOTANOBJECT").expect("foreign");
-        assert_eq!(store.get_entry_with_fp(5), None);
+        assert_eq!(store.get_entry(5), None);
         // Old monolithic formats (a `cache.bin` beside the object tree)
         // are ignored wholesale — the store never even opens them.
         std::fs::write(dir.join("cache.bin"), b"SJAVACACHE old format").expect("v3 file");
-        assert_eq!(store.get_entry_with_fp(5), None);
-        assert_eq!(store.get_entry_with_fp(6), None);
+        assert_eq!(store.get_entry(5), None);
+        assert_eq!(store.get_entry(6), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn skip_if_exists_does_not_rewrite() {
-        let dir = scratch("skip");
+    fn checksummed_but_undecodable_read_sets_are_deleted() {
+        // The checksum covers what the writer wrote; a payload whose
+        // read-set half does not decode (cut short, or an unknown dep
+        // tag) must still read as a miss and be removed so the next
+        // writer republishes it.
+        let dir = scratch("deps-half");
         let store = ArtifactStore::open(&dir).expect("open");
-        // Callee sets stay content-addressed (their key folds the
-        // interface hash), so they keep the skip-if-exists fast path.
-        let callees: BTreeSet<MethodRef> = [("A".to_string(), "f".to_string())].into();
-        store.put_callees(3, &callees).expect("put");
-        let path = store.object_path(Kind::Callees, 3);
-        let before = std::fs::metadata(&path).expect("meta").modified().ok();
-        let marker = std::fs::read(&path).expect("read");
-        store.put_callees(3, &callees).expect("re-put");
-        assert_eq!(std::fs::read(&path).expect("read"), marker);
-        assert_eq!(
-            std::fs::metadata(&path).expect("meta").modified().ok(),
-            before
-        );
+        let entry = sample_entry();
+        let payload = encode_entry(&entry);
+        // The read-set starts where the result ends: an entry with an
+        // empty read-set encodes the same result plus an 8-byte count.
+        let deps_at = encode_entry(&MethodEntry {
+            deps: Vec::new(),
+            ..entry.clone()
+        })
+        .len()
+            - 8;
+        let path = store.object_path(8);
+        for cut in deps_at..payload.len() {
+            store.put(8, &payload[..cut]).expect("put truncated");
+            assert_eq!(store.get_entry(8), None, "read-set cut at {cut} must miss");
+            assert!(!path.exists(), "read-set cut at {cut} must be removed");
+        }
+        let mut bad_tag = payload.clone();
+        bad_tag[deps_at + 8] = 0xFF;
+        store.put(8, &bad_tag).expect("put bad tag");
+        assert_eq!(store.get_entry(8), None, "an unknown dep tag must miss");
+        assert!(!path.exists(), "a bad-tag object must be removed");
+        let mut trailing = payload;
+        trailing.push(0);
+        store.put(8, &trailing).expect("put trailing");
+        assert_eq!(store.get_entry(8), None, "trailing bytes must miss");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -629,10 +531,10 @@ mod tests {
     fn eviction_is_oldest_first_and_bounded() {
         let dir = scratch("evict");
         let store = ArtifactStore::open(&dir).expect("open");
-        // Three objects with strictly increasing mtimes.
+        // Three equal-sized entry objects with strictly increasing mtimes.
         for key in 0..3u64 {
-            store.put_time(key, key).expect("put");
-            let path = store.object_path(Kind::Time, key);
+            store.put_entry(key, &sample_entry()).expect("put");
+            let path = store.object_path(key);
             // Space the mtimes out explicitly — filesystem timestamp
             // granularity can be coarse.
             let t = std::time::SystemTime::UNIX_EPOCH
@@ -648,9 +550,9 @@ mod tests {
         // Budget for two objects: the oldest (key 0) must go.
         let evicted = store.evict_to(per_object * 2);
         assert_eq!(evicted, 1);
-        assert_eq!(store.get_time(0), None, "oldest object evicted");
-        assert_eq!(store.get_time(1), Some(1));
-        assert_eq!(store.get_time(2), Some(2));
+        assert_eq!(store.get_entry(0), None, "oldest object evicted");
+        assert_eq!(store.get_entry(1), Some(sample_entry()));
+        assert_eq!(store.get_entry(2), Some(sample_entry()));
         // Already under budget: no-op.
         assert_eq!(store.evict_to(u64::MAX), 0);
         // Zero budget clears everything.
@@ -679,7 +581,7 @@ mod tests {
                 let store = &store;
                 s.spawn(move || {
                     for _ in 0..50 {
-                        store.put(Kind::Entry, 77, p, true).expect("put");
+                        store.put(77, p).expect("put");
                     }
                 });
             }
@@ -688,7 +590,7 @@ mod tests {
                 let payloads = &payloads;
                 s.spawn(move || {
                     for _ in 0..200 {
-                        if let Some(got) = store.get(Kind::Entry, 77) {
+                        if let Some(got) = store.get(77) {
                             assert!(payloads.contains(&got), "read returned a torn object");
                         }
                     }

@@ -2,12 +2,14 @@
 //! cold full check, for every benchmark application and for every kind of
 //! edit — method bodies (fine-grained reuse), lattice annotations
 //! (whole-program invalidation), and corrupt on-disk entries (silent
-//! misses).
+//! misses) — and the artifact store's file traffic: one object per
+//! reachable method, written only when that method is re-analyzed.
 
-use sjava_cache::edit::mutate_first_literal;
+use sjava_cache::edit::{add_unused_field, mutate_first_literal, shift_method_span};
 use sjava_cache::IncrementalChecker;
 use sjava_core::{check_program, CheckReport};
 use sjava_syntax::ast::Program;
+use std::path::{Path, PathBuf};
 
 fn apps() -> Vec<(&'static str, String)> {
     vec![
@@ -230,6 +232,122 @@ fn store_warm_hit_rate_across_sessions_meets_floor() {
         stats.hit_rate(),
         stats.hits,
         stats.misses
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every object file under the store's object tree.
+fn objects(root: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for fanout in std::fs::read_dir(root).expect("objects root").flatten() {
+        for f in std::fs::read_dir(fanout.path()).expect("fanout").flatten() {
+            out.push(f.path());
+        }
+    }
+    out
+}
+
+/// A modification time no publish can produce: [`stamp_objects`] puts it
+/// on every object so [`published_since_stamp`] can tell which ones a
+/// later check wrote (a publish is a fresh file renamed into place, so it
+/// carries the current time).
+const STAMP: std::time::Duration = std::time::Duration::from_secs(1_000_000);
+
+fn stamp_objects(root: &Path) {
+    for path in objects(root) {
+        std::fs::File::options()
+            .append(true)
+            .open(&path)
+            .expect("open object")
+            .set_modified(std::time::UNIX_EPOCH + STAMP)
+            .expect("stamp object");
+    }
+}
+
+fn published_since_stamp(root: &Path) -> usize {
+    objects(root)
+        .iter()
+        .filter(|p| {
+            std::fs::metadata(p)
+                .expect("object metadata")
+                .modified()
+                .ok()
+                != Some(std::time::UNIX_EPOCH + STAMP)
+        })
+        .count()
+}
+
+#[test]
+fn store_traffic_is_one_object_per_method() {
+    // The store's file traffic on the large stress preset: a cold check
+    // publishes one object per reachable method (its result and read-set
+    // together), and a later check writes only what it re-analyzed. No
+    // per-check bookkeeping objects (callee sets, timings) may appear.
+    let dir = std::env::temp_dir().join(format!(
+        "sjava-cache-correctness-traffic-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let source = sjava_bench::stressgen::generate(&sjava_bench::stressgen::StressConfig::large());
+    let program = sjava_syntax::parse(&source).expect("stress preset parses");
+    let session = |program: &Program| {
+        let mut s = IncrementalChecker::with_dir(&dir);
+        s.set_persist_min(0);
+        let report = s.check(program);
+        assert_eq!(digest(&report), digest(&check_program(program)));
+        report.cache.expect("incremental report carries stats")
+    };
+
+    let cold = session(&program);
+    let methods = cold.hits + cold.misses;
+    assert_eq!(cold.misses, methods, "a fresh store serves nothing");
+    let root = IncrementalChecker::with_dir(&dir)
+        .store()
+        .expect("store opened")
+        .objects_root()
+        .to_path_buf();
+    assert_eq!(
+        objects(&root).len(),
+        methods,
+        "a cold check publishes exactly one object per reachable method"
+    );
+
+    stamp_objects(&root);
+    let warm = session(&program);
+    assert_eq!(warm.misses, 0, "an unchanged program replays everything");
+    assert_eq!(
+        published_since_stamp(&root),
+        0,
+        "an unchanged re-check publishes nothing"
+    );
+
+    let (class, method) = ("W0".to_string(), "m1".to_string());
+    let mut padded = program.clone();
+    assert!(add_unused_field(&mut padded, &class), "field pad target");
+    let field = session(&padded);
+    assert_eq!(field.misses, 0, "an unused field reds no method");
+    assert_eq!(
+        published_since_stamp(&root),
+        0,
+        "an unused-field edit publishes nothing"
+    );
+
+    let mut shifted = program.clone();
+    assert!(
+        shift_method_span(&mut shifted, &class, &method),
+        "span shift target"
+    );
+    let header = session(&shifted);
+    assert!(header.misses >= 1, "the edited method is re-analyzed");
+    assert_eq!(
+        published_since_stamp(&root),
+        header.misses,
+        "a header edit writes exactly the methods it re-analyzed"
+    );
+    assert!(
+        objects(&root).len() <= methods + 1,
+        "a header edit adds at most one new object ({} after {methods})",
+        objects(&root).len()
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

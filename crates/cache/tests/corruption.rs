@@ -5,8 +5,8 @@
 //! object carries a checksum) may never be decoded into
 //! plausible-but-wrong entries that a later check would replay as wrong
 //! diagnostics under a still-matching fingerprint. Old monolithic
-//! `cache.bin` files (store formats v3 and earlier) must likewise degrade
-//! to clean misses, untouched.
+//! `cache.bin` files (store formats v3 and earlier) and old object trees
+//! (`v5/`) must likewise degrade to clean misses, untouched.
 //!
 //! The probe program fails the checker on purpose: wrong replay of its
 //! error list would be visible in the diagnostic bytes, so "diagnostics
@@ -86,6 +86,15 @@ fn seeded_entries(dir: &Path) -> Vec<PathBuf> {
     entries
 }
 
+/// Replaces an object file's bytes with a fresh inode. Truncating a
+/// file that holds data in place makes ext4 (`auto_da_alloc`) start its
+/// writeback, and the store's next delete of that file then waits tens
+/// of milliseconds for it; removing first keeps every sweep step cheap.
+fn overwrite(path: &Path, bytes: &[u8]) {
+    let _ = std::fs::remove_file(path);
+    std::fs::write(path, bytes).expect("write object");
+}
+
 fn fresh_rendering() -> String {
     let report = sjava_core::check_source(PROBE).expect("probe parses");
     format!("{}", report.diagnostics)
@@ -104,15 +113,15 @@ fn truncated_objects_degrade_to_misses() {
     let mut cuts: Vec<usize> = (0..clean.len()).step_by(13).collect();
     cuts.extend([0, 5, 12, 17, 21, clean.len().saturating_sub(1)]);
     for cut in cuts {
-        std::fs::write(path, &clean[..cut]).expect("truncate");
+        overwrite(path, &clean[..cut]);
         assert_eq!(
             render_via_dir(&dir),
             expected,
             "truncation at {cut} changed the diagnostics"
         );
         // The session deletes verifiably-corrupt objects and republishes;
-        // restore the truncated state from scratch for the next cut.
-        std::fs::write(path, &clean).expect("restore");
+        // restore the clean object for the next cut.
+        overwrite(path, &clean);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -122,7 +131,7 @@ fn foreign_format_versions_degrade_to_misses() {
     let dir = scratch_dir("versions");
     let entries = seeded_entries(&dir);
     let expected = fresh_rendering();
-    for version in [0u32, 1, 2, 3, 4, 6, u32::MAX] {
+    for version in [0u32, 1, 2, 3, 4, 5, u32::MAX] {
         // Same payloads, forged version fields: every object must be
         // ignored wholesale.
         for path in &entries {
@@ -154,24 +163,25 @@ fn bit_flipped_payloads_degrade_to_misses() {
     let dir = scratch_dir("bitflip");
     let entries = seeded_entries(&dir);
     let expected = fresh_rendering();
-    let path = &entries[entries.len() / 2];
-    let clean = std::fs::read(path).expect("object bytes");
-    let header = 10 + 4 + 8; // magic + version + checksum
-                             // Flip one bit at a stride of positions across the payload (and a
-                             // few inside the checksum itself): the loader must reject the object
-                             // and the session must re-analyze that method, byte-identically.
-    let mut positions: Vec<usize> = (header..clean.len()).step_by(7).collect();
-    positions.extend(10 + 4..header); // corrupt the stored checksum too
-    for (i, pos) in positions.into_iter().enumerate() {
-        let mut corrupt = clean.clone();
-        corrupt[pos] ^= 1 << (i % 8);
-        std::fs::write(path, &corrupt).expect("write corrupt");
-        assert_eq!(
-            render_via_dir(&dir),
-            expected,
-            "flipped bit at byte {pos} changed the diagnostics"
-        );
-        std::fs::write(path, &clean).expect("restore");
+    let header = 10 + 4; // magic + version
+    for path in &entries {
+        let clean = std::fs::read(path).expect("object bytes");
+        // Flip one bit in every byte after the version field — the stored
+        // checksum, the analysis result and the read-set behind it: the
+        // loader must reject the object and the session must re-analyze
+        // that method, byte-identically.
+        for pos in header..clean.len() {
+            let mut corrupt = clean.clone();
+            corrupt[pos] ^= 1 << (pos % 8);
+            overwrite(path, &corrupt);
+            assert_eq!(
+                render_via_dir(&dir),
+                expected,
+                "flipped bit at byte {pos} of {} changed the diagnostics",
+                path.display()
+            );
+            overwrite(path, &clean);
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -183,12 +193,13 @@ fn garbage_and_oversized_counts_never_panic() {
     let expected = fresh_rendering();
     let path = &entries[0];
     // Assorted hostile objects: random-ish noise, a giant count directly
-    // after a forged (matching-checksum) v4 header, and an empty file.
+    // after a forged (matching-checksum) current-version header, and an
+    // empty file.
     let noise: Vec<u8> = (0..4096u32)
         .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
         .collect();
     let mut forged = b"SJAVACACHE".to_vec();
-    forged.extend_from_slice(&4u32.to_le_bytes());
+    forged.extend_from_slice(&6u32.to_le_bytes());
     let payload = u64::MAX.to_le_bytes(); // heap-path count ~1.8e19
     let mut h = {
         // Recompute the real checksum so decoding genuinely begins and
@@ -223,8 +234,8 @@ fn garbage_and_oversized_counts_never_panic() {
 fn v3_monolithic_cache_degrades_to_clean_misses() {
     // The explicit downgrade path: a cache directory populated by the old
     // monolithic format (v3 and earlier serialized the whole session into
-    // one `cache.bin`). The v4 store lives under `v4/objects/` and never
-    // opens the old file, so the session starts from clean misses — no
+    // one `cache.bin`). The object store lives under `v6/objects/` and
+    // never opens the old file, so the session starts from clean misses — no
     // error, no wrong replay — and leaves the old bytes alone.
     let dir = scratch_dir("v3-downgrade");
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -249,6 +260,59 @@ fn v3_monolithic_cache_degrades_to_clean_misses() {
 
     // And the store it *did* open works: a second session over the same
     // directory serves everything warm.
+    let mut second = IncrementalChecker::with_dir(&dir);
+    second.set_persist_min(0);
+    let warm = second.check_source(PROBE).expect("probe parses");
+    assert_eq!(format!("{}", warm.diagnostics), fresh_rendering());
+    assert_eq!(warm.cache.expect("incremental").misses, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn v5_object_tree_degrades_to_clean_misses() {
+    // The v5 store kept separate `entry`, `deps`, `callees` and `time`
+    // objects under `v5/objects/`. A directory still holding such a tree
+    // must check exactly like a cold run: the v6 store lives under
+    // `v6/objects/`, never reads the old tree, and leaves it alone.
+    let dir = scratch_dir("v5-downgrade");
+    let entries = seeded_entries(&dir);
+    let v6 = dir.join("v6");
+    let mut old = Vec::new();
+    for path in &entries {
+        let mut bytes = std::fs::read(path).expect("object bytes");
+        bytes[10..14].copy_from_slice(&5u32.to_le_bytes());
+        let fanout = path.parent().expect("fan-out dir");
+        let target = dir
+            .join("v5/objects")
+            .join(fanout.file_name().expect("fan-out name"));
+        std::fs::create_dir_all(&target).expect("mkdir v5 fan-out");
+        let stem = path.file_stem().expect("object key").to_string_lossy();
+        for kind in ["entry", "deps", "callees", "time"] {
+            let file = target.join(format!("{stem}.{kind}"));
+            std::fs::write(&file, &bytes).expect("write v5 object");
+            old.push((file, bytes.clone()));
+        }
+    }
+    std::fs::remove_dir_all(&v6).expect("drop the v6 tree");
+
+    let mut session = IncrementalChecker::with_dir(&dir);
+    session.set_persist_min(0);
+    let report = session.check_source(PROBE).expect("probe parses");
+    assert_eq!(format!("{}", report.diagnostics), fresh_rendering());
+    let stats = report.cache.expect("incremental");
+    assert_eq!(stats.hits, 0, "v5 objects must never be read");
+    assert!(stats.misses > 0);
+    for (file, bytes) in &old {
+        assert_eq!(
+            &std::fs::read(file).expect("still present"),
+            bytes,
+            "the old-format object {} must be left untouched",
+            file.display()
+        );
+    }
+
+    // The v6 store it opened instead works: a second session over the
+    // same directory serves everything warm.
     let mut second = IncrementalChecker::with_dir(&dir);
     second.set_persist_min(0);
     let warm = second.check_source(PROBE).expect("probe parses");

@@ -28,7 +28,7 @@ use sjava_cache::IncrementalChecker;
 use sjava_core::{check_program, CheckReport};
 use sjava_syntax::ast::Program;
 use sjava_syntax::diag::Diagnostics;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// The parts of a report that must match a cold check byte-for-byte.
@@ -140,8 +140,8 @@ fn coarse_dirty(before: &Program, after: &Program) -> Option<BTreeSet<(String, S
     let mut d = Diagnostics::new();
     let cg_before = sjava_analysis::callgraph::build(before, &mut d)?;
     let cg_after = sjava_analysis::callgraph::build(after, &mut d)?;
-    let fps_before = method_fps(before, &cg_before, iface_hash(before), &mut HashMap::new());
-    let fps_after = method_fps(after, &cg_after, iface_hash(after), &mut HashMap::new());
+    let fps_before = method_fps(before, &cg_before, iface_hash(before));
+    let fps_after = method_fps(after, &cg_after, iface_hash(after));
     Some(
         fps_after
             .into_iter()

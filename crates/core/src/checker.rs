@@ -67,8 +67,7 @@ pub fn check_flows(
 /// the product tracks measured per-method phase timings well enough to
 /// order the work queue (only the ordering matters; see
 /// `sjava_par::run_indexed_weighted`). Public so the incremental layer
-/// schedules its re-check fan-out with the same estimate when no
-/// measured timing is on record.
+/// schedules its re-check fan-out with the same estimate.
 pub fn method_cost(shard: &ShardInput<'_>, lattices: &Lattices, mref: &MethodRef) -> u64 {
     let Some((decl_class, method)) = shard.program().resolve_method(&mref.0, &mref.1) else {
         return 1;
@@ -320,7 +319,7 @@ pub struct MethodChecker<'p> {
     /// `name → is a field of the enclosing class` memo.
     own_field: RefCell<FnvHashMap<String, bool>>,
     /// `target class → method name → callee memo` for the CALL_SITE rule.
-    callee_cache: RefCell<FnvHashMap<String, FnvHashMap<String, Rc<CalleeResolution<'p>>>>>,
+    callee_memo: RefCell<FnvHashMap<String, FnvHashMap<String, Rc<CalleeResolution<'p>>>>>,
 }
 
 impl<'p> MethodChecker<'p> {
@@ -359,7 +358,7 @@ impl<'p> MethodChecker<'p> {
             ret_id,
             field_cache: RefCell::new(FnvHashMap::default()),
             own_field: RefCell::new(FnvHashMap::default()),
-            callee_cache: RefCell::new(FnvHashMap::default()),
+            callee_memo: RefCell::new(FnvHashMap::default()),
         }
     }
 
@@ -1089,7 +1088,7 @@ impl<'p> MethodChecker<'p> {
     /// (see [`CalleeResolution`]).
     fn callee_entry(&self, target_class: &str, name: &str) -> Rc<CalleeResolution<'p>> {
         if let Some(hit) = self
-            .callee_cache
+            .callee_memo
             .borrow()
             .get(target_class)
             .and_then(|m| m.get(name))
@@ -1097,7 +1096,7 @@ impl<'p> MethodChecker<'p> {
             return Rc::clone(hit);
         }
         let entry = Rc::new(self.build_callee_entry(target_class, name));
-        self.callee_cache
+        self.callee_memo
             .borrow_mut()
             .entry(target_class.to_string())
             .or_default()

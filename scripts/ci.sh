@@ -19,7 +19,11 @@
 #   7. the incremental-cache correctness suite, with the worker pool
 #      pinned to 1 and then 4 threads so cached replay is proven
 #      deterministic across fan-out widths; it includes the ≥0.95
-#      cross-session warm-hit-rate floor of the artifact store
+#      cross-session warm-hit-rate floor of the artifact store and the
+#      store-traffic pin on the large stress preset (one object per
+#      reachable method on a cold check, no writes on an unchanged
+#      re-check or an unused-field edit, at most one new object after
+#      a header edit)
 #   8. the benchmark harness in gate mode on the small stress preset,
 #      enforcing the parallel-speedup and small-app-tax floors. With the
 #      work-stealing scheduler and parallel front-end the stress floor
