@@ -34,9 +34,8 @@
 //! interface hash; the call graph (every per-method callee set included),
 //! the eviction event-loop check, and the shared-location event-loop
 //! check are recomputed on every check (they read global state and are
-//! cheap relative to per-method analysis). Re-check fan-outs are
-//! scheduled statically, by the same [`checker::method_cost`] estimate
-//! the cold path uses; no measured timings are kept.
+//! cheap relative to per-method analysis). No measured timings are
+//! kept.
 //!
 //! Setting `SJAVA_CACHE_DIR` (see [`CACHE_DIR_ENV`]) backs the session
 //! with the concurrent content-addressed [`store::ArtifactStore`]:
@@ -601,31 +600,21 @@ impl IncrementalChecker {
 
         // Flow check: fan out over the dirty indices only, then merge
         // cached and fresh buffers in topological order — the same order
-        // the full pipeline merges, so output bytes match. The work queue
-        // is ordered by the same static cost estimate as the cold path.
+        // the full pipeline merges, so output bytes match.
         let t = Instant::now();
-        let cost: Vec<u64> = missing
-            .iter()
-            .map(|&i| checker::method_cost(&whole, &lattices, &cg.topo[i]))
-            .collect();
         let mut flow_deps: BTreeMap<usize, Vec<DepKey>> = BTreeMap::new();
-        let fresh_flow: BTreeMap<usize, Diagnostics> =
-            sjava_par::run_sparse_weighted(&missing, &cost, |i| {
-                let scope = ReadScope::begin();
-                let d = checker::check_method_flows(
-                    &whole,
-                    &lattices,
-                    &cg.topo[i],
-                    &eviction.summaries,
-                );
-                (d, scope.finish())
-            })
-            .into_iter()
-            .map(|(i, (d, deps))| {
-                flow_deps.insert(i, deps);
-                (i, d)
-            })
-            .collect();
+        let fresh_flow: BTreeMap<usize, Diagnostics> = sjava_par::run_sparse(&missing, |i| {
+            let scope = ReadScope::begin();
+            let d =
+                checker::check_method_flows(&whole, &lattices, &cg.topo[i], &eviction.summaries);
+            (d, scope.finish())
+        })
+        .into_iter()
+        .map(|(i, (d, deps))| {
+            flow_deps.insert(i, deps);
+            (i, d)
+        })
+        .collect();
         for i in 0..cg.topo.len() {
             match fresh_flow.get(&i) {
                 Some(d) => diags.extend(d.clone()),

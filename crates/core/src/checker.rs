@@ -43,17 +43,7 @@ pub fn check_flows(
     summaries: &BTreeMap<MethodRef, MethodSummary>,
     diags: &mut Diagnostics,
 ) {
-    // Per-method cost estimates feed the work-stealing scheduler: a
-    // stress corpus mixes 3-statement setters with 500-statement decode
-    // loops, and dealing the heavy methods out first (descending cost)
-    // is what lets N workers finish in ~1/N the wall clock instead of
-    // all waiting on whichever worker drew the decoder.
-    let cost: Vec<u64> = cg
-        .topo
-        .iter()
-        .map(|mref| method_cost(shard, lattices, mref))
-        .collect();
-    let per_method = sjava_par::run_indexed_weighted(cg.topo.len(), &cost, |i| {
+    let per_method = sjava_par::run_indexed(cg.topo.len(), |i| {
         check_method_flows(shard, lattices, &cg.topo[i], summaries)
     });
     for d in per_method {
@@ -61,29 +51,9 @@ pub fn check_flows(
     }
 }
 
-/// Estimated checking cost of one method: statement count × lattice
-/// height. Checking walks every statement and resolves flows against
-/// the method lattice, whose comparison cost grows with its depth —
-/// the product tracks measured per-method phase timings well enough to
-/// order the work queue (only the ordering matters; see
-/// `sjava_par::run_indexed_weighted`). Public so the incremental layer
-/// schedules its re-check fan-out with the same estimate.
-pub fn method_cost(shard: &ShardInput<'_>, lattices: &Lattices, mref: &MethodRef) -> u64 {
-    let Some((decl_class, method)) = shard.program().resolve_method(&mref.0, &mref.1) else {
-        return 1;
-    };
-    let stmts = block_weight(&method.body);
-    let depth = lattices
-        .method_info(&decl_class.name, &method.name)
-        .map(|info| info.lattice.height() as u64)
-        .unwrap_or(1);
-    (stmts + 1) * (depth + 1)
-}
-
-/// Statement count of a block, including nested bodies — the size half
-/// of the scheduler's cost model, also used by the incremental layer to
-/// decide whether a program is big enough for on-disk persistence to
-/// pay for itself.
+/// Statement count of a block, including nested bodies — used by the
+/// incremental layer to decide whether a program is big enough for
+/// on-disk persistence to pay for itself.
 pub fn block_weight(b: &Block) -> u64 {
     b.stmts.iter().map(stmt_weight).sum()
 }

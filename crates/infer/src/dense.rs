@@ -413,16 +413,8 @@ pub fn build_dense_graphs(
                     .map(|(c, m)| (mref, c, m))
             })
             .collect();
-        // Wave-internal cost skew (a decode loop vs a getter) is what
-        // flattened scaling under contiguous chunking; method body size
-        // is a faithful proxy for graph-build time and feeds the
-        // work-stealing deal order.
-        let cost: Vec<u64> = work
-            .iter()
-            .map(|(_, _, m)| m.body.stmts.len() as u64 + 1)
-            .collect();
         let results: Vec<(DenseMethodGraph, Vec<(Tuple, Tuple)>)> =
-            sjava_par::run_indexed_weighted(work.len(), &cost, |i| {
+            sjava_par::run_indexed(work.len(), |i| {
                 let (_, decl_class, method) = work[i];
                 if method.annots.trusted || decl_class.annots.trusted {
                     return (DenseMethodGraph::default(), Vec::new());
@@ -924,14 +916,7 @@ pub fn decompose_dense(
             Some((mref, decl_class, method, dense))
         })
         .collect();
-    // Decomposition cost is dominated by the relocation fixpoint over
-    // the method's tuple graph — node count is the honest proxy, and
-    // dealing big graphs first keeps the pool busy end to end.
-    let cost: Vec<u64> = work
-        .iter()
-        .map(|(_, _, _, dense)| dense.table.len() as u64 + 1)
-        .collect();
-    let outs: Vec<MethodOut> = sjava_par::run_indexed_weighted(work.len(), &cost, |i| {
+    let outs: Vec<MethodOut> = sjava_par::run_indexed(work.len(), |i| {
         let (_, decl_class, method, dense) = work[i];
         decompose_method(program, decl_class, method, dense)
     });

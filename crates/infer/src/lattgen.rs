@@ -201,10 +201,7 @@ where
         (*key, result)
     };
     if parallel {
-        // Hierarchy size drives completion cost; the deal order lets
-        // work stealing absorb the (heavy) uncached conversions.
-        let cost: Vec<u64> = work.iter().map(|(_, h, _)| h.node_count() as u64).collect();
-        sjava_par::run_indexed_weighted(work.len(), &cost, |i| convert(&work[i]))
+        sjava_par::run_indexed(work.len(), |i| convert(&work[i]))
     } else {
         work.iter().map(convert).collect()
     }

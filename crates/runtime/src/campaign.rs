@@ -9,11 +9,8 @@
 //! [`Vm`] and replays trials by restoring the flat-heap snapshot — no
 //! re-parse, no re-compile, no re-instantiation per trial.
 //!
-//! Batches are weighted for the scheduler's LPT deal using *measured*
-//! per-trial timings: a small calibration pass runs a sample of the
-//! grid, fits a per-category nanosecond cost, and those predictions
-//! become the `cost` array handed to
-//! [`sjava_par::run_indexed_weighted`].
+//! Every trial is timed; the outcome reports the mean measured cost of
+//! each trial category in [`CampaignOutcome::cost_model`].
 
 use crate::bytecode::{compile, Module};
 use crate::driver::{compare_runs, RecoveryStats};
@@ -140,25 +137,16 @@ impl<'a> Campaign<'a> {
         let prep_steps = gvm.prepare(self.entry.0, self.entry.1)?.steps;
         let specs = self.specs(&golden, heap_cells);
 
-        let cost_model = self.calibrate(&module, &specs, &golden, prep_steps, &make_inputs);
         let n = specs.len();
         let bsize = if self.batch_size > 0 {
             self.batch_size
         } else {
             let workers = self.threads.unwrap_or_else(sjava_par::num_threads).max(1);
-            // ~8 batches per worker bounds LPT imbalance without
-            // paying a snapshot restore chain per tiny batch.
+            // ~8 batches per worker keeps the pool busy to the end
+            // without paying a fresh VM per tiny batch.
             (n.div_ceil(workers * 8)).clamp(16, 2048)
         };
         let n_batches = n.div_ceil(bsize);
-        let costs: Vec<u64> = (0..n_batches)
-            .map(|b| {
-                specs[b * bsize..(b * bsize + bsize).min(n)]
-                    .iter()
-                    .map(|s| cost_model.predict(s, prep_steps))
-                    .sum()
-            })
-            .collect();
 
         let run_batch = |b: usize| -> Vec<TrialOutcome> {
             let lo = b * bsize;
@@ -174,10 +162,11 @@ impl<'a> Campaign<'a> {
             )
         };
         let per_batch = match self.threads {
-            Some(t) => sjava_par::run_indexed_weighted_with(n_batches, t, &costs, run_batch),
-            None => sjava_par::run_indexed_weighted(n_batches, &costs, run_batch),
+            Some(t) => sjava_par::run_indexed_with(n_batches, t, run_batch),
+            None => sjava_par::run_indexed(n_batches, run_batch),
         };
         let trials: Vec<TrialOutcome> = per_batch.into_iter().flatten().collect();
+        let cost_model = CostModel::measured(&specs, &trials, prep_steps);
 
         let mut hist_samples = RecoveryHistogram::new(5, 400);
         let mut hist_iterations = RecoveryHistogram::new(1, 64);
@@ -249,54 +238,6 @@ impl<'a> Campaign<'a> {
             }
         }
     }
-
-    /// Times a strided sample of the grid on one VM and fits mean
-    /// per-category trial costs (the measured weights for the LPT
-    /// deal).
-    fn calibrate<I, F>(
-        &self,
-        module: &Module,
-        specs: &[TrialSpec],
-        golden: &RunResult,
-        prep_steps: u64,
-        make_inputs: &F,
-    ) -> CostModel
-    where
-        I: InputProvider + Clone,
-        F: Fn() -> I + Sync,
-    {
-        const SAMPLES: usize = 24;
-        let mut model = CostModel::default();
-        if specs.is_empty() {
-            return model;
-        }
-        let stride = (specs.len() / SAMPLES).max(1);
-        let sample: Vec<TrialSpec> = specs.iter().step_by(stride).copied().collect();
-        let outcomes = run_trials_on(
-            module,
-            make_inputs(),
-            self.entry,
-            self.iterations,
-            &sample,
-            golden,
-            self.eps,
-        );
-        let mut sums = [(0u64, 0u64); 3];
-        for (spec, out) in sample.iter().zip(&outcomes) {
-            let i = CostModel::category(spec, prep_steps);
-            sums[i].0 += out.ns;
-            sums[i].1 += 1;
-        }
-        let overall: u64 = {
-            let total: u64 = sums.iter().map(|s| s.0).sum();
-            let count: u64 = sums.iter().map(|s| s.1).sum::<u64>().max(1);
-            (total / count).max(1)
-        };
-        for (i, &(ns, count)) in sums.iter().enumerate() {
-            model.ns[i] = ns.checked_div(count).map_or(overall, |mean| mean.max(1));
-        }
-        model
-    }
 }
 
 /// Replays `specs` on one fresh VM over `inputs` against a shared golden
@@ -348,15 +289,19 @@ fn run_trials_on<I: InputProvider + Clone>(
         .collect()
 }
 
-/// Mean measured nanoseconds per trial category, fitted by the
-/// calibration pass and fed to the scheduler as batch weights.
+/// Mean measured nanoseconds per trial category over a campaign's own
+/// trials.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CostModel {
-    /// `[op-resume, heap-resume, full-run]` mean ns.
+    /// `[op-resume, heap-resume, full-run]` mean ns; 0 for a category
+    /// with no trials.
     pub ns: [u64; 3],
 }
 
 impl CostModel {
+    /// Category of a trial: a trigger that can fire during instantiation
+    /// forces a full run; otherwise op or heap injection on a restored
+    /// snapshot.
     fn category(spec: &TrialSpec, prep_steps: u64) -> usize {
         if spec.trigger <= prep_steps {
             2
@@ -367,8 +312,17 @@ impl CostModel {
         }
     }
 
-    fn predict(&self, spec: &TrialSpec, prep_steps: u64) -> u64 {
-        self.ns[Self::category(spec, prep_steps)]
+    /// Per-category means of `trials`, which pair up with `specs`.
+    fn measured(specs: &[TrialSpec], trials: &[TrialOutcome], prep_steps: u64) -> Self {
+        let mut sums = [(0u64, 0u64); 3];
+        for (spec, trial) in specs.iter().zip(trials) {
+            let sum = &mut sums[Self::category(spec, prep_steps)];
+            sum.0 += trial.ns;
+            sum.1 += 1;
+        }
+        CostModel {
+            ns: sums.map(|(ns, count)| ns.checked_div(count).unwrap_or(0)),
+        }
     }
 }
 
@@ -402,7 +356,7 @@ pub struct CampaignOutcome {
     pub hist_samples: RecoveryHistogram,
     /// Recovery-time histogram in iterations.
     pub hist_iterations: RecoveryHistogram,
-    /// Fitted per-trial cost model (measured ns).
+    /// Mean measured ns per trial, by category.
     pub cost_model: CostModel,
     /// Total campaign wall time.
     pub elapsed_ns: u64,
@@ -549,6 +503,42 @@ mod tests {
         assert_eq!(strip(&a), strip(&b));
         assert_eq!(a.hist_samples.buckets, b.hist_samples.buckets);
         assert_eq!(a.hist_iterations.buckets, b.hist_iterations.buckets);
+    }
+
+    #[test]
+    fn cost_model_reports_measured_category_means() {
+        let p = parse(SRC).expect("parses");
+        let mut c = Campaign::new(&p, ("A", "main"), 8);
+        c.trials = 40;
+        let out = c.run(inputs).expect("campaign");
+        let module = compile(&p);
+        let prep_steps = Vm::new(&module, inputs(), ExecOptions::default())
+            .prepare("A", "main")
+            .expect("prepares")
+            .steps;
+        for category in 0..3 {
+            let ns: Vec<u64> = out
+                .trials
+                .iter()
+                .filter(|t| {
+                    let spec = TrialSpec {
+                        seed: t.seed,
+                        trigger: t.trigger,
+                        kind: t.kind,
+                    };
+                    CostModel::category(&spec, prep_steps) == category
+                })
+                .map(|t| t.ns)
+                .collect();
+            let mean = ns.iter().sum::<u64>().checked_div(ns.len() as u64);
+            assert_eq!(
+                out.cost_model.ns[category],
+                mean.unwrap_or(0),
+                "category {category}"
+            );
+        }
+        assert!(out.cost_model.ns[0] > 0, "op-resume trials ran");
+        assert!(out.cost_model.ns[1] > 0, "heap-resume trials ran");
     }
 
     #[test]

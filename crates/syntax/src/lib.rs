@@ -69,11 +69,11 @@ pub fn parse(src: &str) -> Result<Program, Diagnostics> {
 }
 
 /// Parses with the **sequential** front-end only, never attempting the
-/// parallel split-lex-parse path regardless of `SJAVA_THREADS` /
-/// `SJAVA_PAR_THRESHOLD`. Differential-testing surface: the fuzz harness
-/// and the brace pre-scan property tests compare this against
-/// [`parse_parallel_forced`] without mutating process-global environment
-/// variables (which would race across test threads).
+/// parallel split-lex-parse path regardless of `SJAVA_THREADS`.
+/// Differential-testing surface: the fuzz harness and the brace pre-scan
+/// property tests compare this against [`parse_parallel_forced`] without
+/// mutating process-global environment variables (which would race
+/// across test threads).
 ///
 /// # Errors
 ///
@@ -92,7 +92,7 @@ pub fn parse_sequential(src: &str) -> Result<Program, Diagnostics> {
 }
 
 /// Forces the **parallel** front-end at an explicit worker width,
-/// bypassing the adaptive unit threshold (any source that splits into
+/// bypassing the unit cutover (any source that splits into
 /// ≥2 top-level units takes the parallel path). Returns `None` when the
 /// pre-scan declines the input or any unit produces a diagnostic — the
 /// cases where production parsing falls back to the sequential path.

@@ -136,19 +136,12 @@ pub(crate) fn try_parse_parallel(src: &str) -> Option<Program> {
     if sjava_par::num_threads() <= 1 {
         return None;
     }
-    // The same adaptive threshold as every other fan-out: paper-sized
-    // files parse in well under the worker-spawn cost. (The minimum of
-    // 2 keeps SJAVA_PAR_THRESHOLD=0 meaning "force parallel", not
-    // "parallelize a single unit".)
-    parse_parallel_with(
-        src,
-        sjava_par::num_threads(),
-        sjava_par::par_threshold().max(2),
-    )
+    // Paper-sized files parse in well under the worker-spawn cost.
+    parse_parallel_with(src, sjava_par::num_threads(), sjava_par::SEQUENTIAL_BELOW)
 }
 
-/// The parallel front-end with an explicit worker width and unit floor,
-/// bypassing `SJAVA_THREADS`/`SJAVA_PAR_THRESHOLD`. This is the
+/// The parallel front-end with an explicit worker width and unit floor
+/// (at least 2), bypassing `SJAVA_THREADS`. This is the
 /// differential-testing surface (exported as
 /// [`crate::parse_parallel_forced`]): property tests and the fuzz
 /// harness force the split-lex-parse path at any width without mutating
@@ -156,15 +149,11 @@ pub(crate) fn try_parse_parallel(src: &str) -> Option<Program> {
 /// threads.
 pub(crate) fn parse_parallel_with(src: &str, threads: usize, min_units: usize) -> Option<Program> {
     let units = split_units(src)?;
-    if units.len() < min_units.max(2) {
+    if units.len() < min_units {
         return None;
     }
-    // Unit byte length is the cost proxy: lex + parse time is linear-ish
-    // in input bytes, and the skew between a 40-line sensor class and a
-    // 2k-line decoder is exactly what steal-half absorbs.
-    let cost: Vec<u64> = units.iter().map(|r| (r.end - r.start) as u64).collect();
     let parsed: Vec<(Vec<crate::ast::ClassDecl>, Diagnostics)> =
-        sjava_par::run_indexed_weighted_with(units.len(), threads, &cost, |i| {
+        sjava_par::run_indexed_with(units.len(), threads, |i| {
             let r = units[i].clone();
             let mut unit_diags = Diagnostics::new();
             let tokens = lex_at(&src[r.clone()], r.start as u32, &mut unit_diags);
@@ -232,7 +221,7 @@ class B { }"#;
     // with another env-reading assertion in this crate).
     #[test]
     fn parallel_parse_matches_sequential_and_falls_back_on_errors() {
-        // 30 classes clears the default threshold; force width 4.
+        // 30 classes clears the unit cutover; force width 4.
         let mut src = String::new();
         for i in 0..30 {
             src.push_str(&format!(

@@ -26,9 +26,9 @@
 #      a header edit)
 #   8. the benchmark harness in gate mode on the small stress preset,
 #      enforcing the parallel-speedup and small-app-tax floors. With the
-#      work-stealing scheduler and parallel front-end the stress floor
-#      is raised to 2.5x at 4 workers (skipped on machines with <4
-#      cores, where the measurement is meaningless)
+#      parallel checker and parallel front-end the stress floor is
+#      2.5x at 4 workers (skipped on machines with <4 cores, where the
+#      measurement is meaningless)
 #   9. the inference benchmark in gate mode on the small stress preset,
 #      enforcing the dense-vs-legacy speedup floor (≥1.5x at 1 worker)
 #      and, on machines with ≥4 cores, the parallel-scaling floor

@@ -468,7 +468,7 @@ where
         outcome.golden.steps
     );
     println!(
-        "calibrated cost model (ns/trial): op-resume {}, heap-resume {}, full-run {}",
+        "measured cost (ns/trial): op-resume {}, heap-resume {}, full-run {}",
         outcome.cost_model.ns[0], outcome.cost_model.ns[1], outcome.cost_model.ns[2]
     );
     println!("\nrecovery time, output samples until re-convergence:");
