@@ -6,7 +6,7 @@
 //! outputs, step counts, error logs and injection points all match) on
 //! the apps and on the `stressgen` adversarial corpus — plain and with
 //! injected faults of both kinds — and reports campaign throughput
-//! (trials/sec) of the batched VM pipeline vs the per-trial interpreter
+//! (trials/sec) of the VM campaign pipeline vs the per-trial interpreter
 //! pipeline. Results go to `results/BENCH_vm.json`.
 //!
 //! ```text

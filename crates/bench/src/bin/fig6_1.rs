@@ -2,7 +2,7 @@
 //! the MP3 decoder to return to normal behaviour after an error
 //! injection (1,000 trials in the paper; 466 with corrupted outputs).
 //!
-//! Trials run as a batched campaign on the register-bytecode VM — one
+//! Trials run as a campaign on the register-bytecode VM — one
 //! compile, one golden run, per-trial heap-snapshot restore — which is
 //! what makes the 100k-trial default tractable. Per-seed triggers,
 //! kinds and recovery stats are identical to the historical

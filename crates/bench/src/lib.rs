@@ -111,10 +111,10 @@ where
     })
 }
 
-/// Runs seeds `0..trials` as a batched VM campaign: same per-seed
-/// trigger/kind derivation and recovery stats as [`run_trials`], but
-/// executed on the register-bytecode VM with one compile, one golden
-/// run, and per-trial snapshot restore instead of a fresh interpreter
+/// Runs seeds `0..trials` as a VM campaign: same per-seed trigger/kind
+/// derivation and recovery stats as [`run_trials`], but executed on the
+/// register-bytecode VM with one compile, one golden run, one VM per
+/// worker and per-trial snapshot restore instead of a fresh interpreter
 /// per trial. Returns the campaign's own (VM) golden run alongside the
 /// trials; its outputs are byte-identical to the tree-walker's (gated
 /// by `bench_vm --gate`).

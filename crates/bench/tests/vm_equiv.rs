@@ -4,7 +4,8 @@
 //! results to the tree-walking interpreter — identical output traces,
 //! step counts, error logs, and `RuntimeError`s — plain and under
 //! injected faults of both kinds. Also pins campaign results to be
-//! independent of the worker thread count and the batch size.
+//! independent of the worker thread count and of which worker's VM
+//! claims which trial.
 
 use sjava_bench::stressgen::{self, StressConfig};
 use sjava_runtime::campaign::TrialKind;
@@ -164,14 +165,13 @@ fn adversarial_corpus_is_engine_identical() {
 #[test]
 fn campaign_is_thread_count_invariant() {
     // The injected-run sweep at 1 vs 4 workers: identical per-trial
-    // results regardless of batching/stealing (the campaign fixes the
-    // thread count explicitly, so the test is immune to SJAVA_THREADS).
+    // results regardless of claim order (the campaign fixes the thread
+    // count explicitly, so the test is immune to SJAVA_THREADS).
     let program = sjava_syntax::parse(sjava_apps::windsensor::SOURCE).expect("parses");
     let run = |threads: usize| {
         let mut c = Campaign::new(&program, sjava_apps::windsensor::ENTRY, 30);
         c.trials = 64;
         c.threads = Some(threads);
-        c.batch_size = 5;
         c.run(|| sjava_apps::windsensor::inputs(1))
             .expect("campaign runs")
     };
@@ -217,10 +217,12 @@ fn scripted() -> ScriptedInput {
 }
 
 #[test]
-fn campaign_is_batch_size_invariant() {
-    // Every (batch size, thread count) pair must reproduce the per-trial
-    // results of one-trial batches on one thread, on both grid kinds,
-    // including trials whose trigger fires during instantiation.
+fn campaign_is_claim_order_invariant() {
+    // Every worker count must reproduce, trial for trial, one injected
+    // run on a fresh VM over fresh inputs, on both grid kinds, including
+    // trials whose trigger fires during instantiation. One worker
+    // replays the whole grid on one VM; more workers interleave it
+    // across several VMs in whatever order they claim it.
     let semantic = |o: &CampaignOutcome| {
         o.trials
             .iter()
@@ -243,15 +245,14 @@ fn campaign_is_batch_size_invariant() {
             },
         ];
         for grid in grids {
-            let run = |batch_size: usize, threads: usize| {
+            let run = |threads: usize| {
                 let mut c = Campaign::new(&program, ("A", "main"), 6);
                 c.grid = grid;
                 c.trials = 40;
                 c.threads = Some(threads);
-                c.batch_size = batch_size;
                 c.run(scripted).expect("campaign runs")
             };
-            let reference = run(1, 1);
+            let reference = run(1);
             assert!(
                 reference.trials.iter().any(|t| t.trigger <= prep_steps),
                 "{grid:?}: the grid must include triggers inside instantiation"
@@ -281,20 +282,23 @@ fn campaign_is_batch_size_invariant() {
                     "{grid:?} {t:?}\n{src}"
                 );
             }
-            for batch_size in [1usize, 7, 1000] {
-                for threads in [1usize, 4] {
-                    let got = run(batch_size, threads);
-                    assert_eq!(
-                        semantic(&got),
-                        semantic(&reference),
-                        "{grid:?} batch_size={batch_size} threads={threads} changed results\n{src}"
-                    );
-                    assert_eq!(got.hist_samples.buckets, reference.hist_samples.buckets);
-                    assert_eq!(
-                        got.hist_iterations.buckets,
-                        reference.hist_iterations.buckets
-                    );
-                }
+            for threads in [2usize, 4] {
+                let before = sjava_par::pooled_fan_outs();
+                let got = run(threads);
+                assert!(
+                    sjava_par::pooled_fan_outs() > before,
+                    "{grid:?} threads={threads} never left the calling thread"
+                );
+                assert_eq!(
+                    semantic(&got),
+                    semantic(&reference),
+                    "{grid:?} threads={threads} changed results\n{src}"
+                );
+                assert_eq!(got.hist_samples.buckets, reference.hist_samples.buckets);
+                assert_eq!(
+                    got.hist_iterations.buckets,
+                    reference.hist_iterations.buckets
+                );
             }
         }
     }

@@ -1,9 +1,11 @@
 //! # sjava-par
 //!
 //! Deterministic fan-out primitives for the parallel whole-program
-//! checking pipeline. All parallelism in the workspace funnels through
-//! [`run_indexed`]: tasks are identified by a dense index, scoped
-//! workers pull indices from one shared atomic cursor, and results are
+//! checking pipeline and the fault-injection campaigns. All parallelism
+//! in the workspace funnels through [`run_indexed_init`] (usually via
+//! [`run_indexed`]): tasks are identified by a dense index, scoped
+//! workers pull indices from one shared atomic cursor, each worker may
+//! own one piece of state it reuses across its tasks, and results are
 //! returned **in index order** regardless of completion order — so
 //! callers that merge per-task outputs (diagnostics buffers, method
 //! summaries, injection trials) stay byte-for-byte deterministic at any
@@ -84,41 +86,70 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n < SEQUENTIAL_BELOW {
-        return (0..n).map(f).collect();
-    }
-    run_indexed_with(n, num_threads(), f)
+    run_indexed_init(n, None, || (), |_, i| f(i))
 }
 
 /// [`run_indexed`] with an explicit worker count and no sequential
 /// cutover (used by tests, benchmarks and the forced parallel parse;
 /// `threads ≤ 1` is the sequential path).
-///
-/// Workers claim indices one at a time from a shared atomic cursor, so
-/// a slow task holds up only the worker running it. Tasks never spawn
-/// tasks: a worker that finds the cursor past `n` is done.
 pub fn run_indexed_with<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    run_indexed_init(n, Some(threads), || (), |_, i| f(i))
+}
+
+/// The one scheduler behind every fan-out: runs `f(state, 0) ..
+/// f(state, n-1)` and returns the results **in index order**, where each
+/// worker owns one `state` built by `init` when it claims its first
+/// index. Tasks that need an expensive per-worker resource (a VM, a
+/// scratch buffer) build it once per worker instead of once per task.
+///
+/// `threads: None` uses [`num_threads`] workers and runs fan-outs of
+/// fewer than [`SEQUENTIAL_BELOW`] tasks on the calling thread;
+/// `Some(t)` uses `t` workers with no cutover (`t ≤ 1` is the
+/// sequential path). The calling thread counts as one worker there, so
+/// `init` runs at most once per worker and exactly once on the
+/// sequential path (never for `n = 0`).
+///
+/// Workers claim indices one at a time from a shared atomic cursor, so
+/// a slow task holds up only the worker running it. Tasks never spawn
+/// tasks: a worker that finds the cursor past `n` is done. A task's
+/// panic reaches the caller with its own payload once every worker has
+/// stopped.
+pub fn run_indexed_init<S, T, I, F>(n: usize, threads: Option<usize>, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
+    let threads = match threads {
+        Some(t) => t,
+        None if n < SEQUENTIAL_BELOW => 1,
+        None => num_threads(),
+    };
     if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+        let mut state = None;
+        return (0..n)
+            .map(|i| f(state.get_or_insert_with(&init), i))
+            .collect();
     }
     POOLED.fetch_add(1, Ordering::Relaxed);
     let next = AtomicUsize::new(0);
-    let (next, f) = (&next, &f);
+    let (next, init, f) = (&next, &init, &f);
     let mut pairs: Vec<(usize, T)> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads.min(n))
             .map(|_| {
                 s.spawn(move || {
+                    let mut state = None;
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             return local;
                         }
-                        local.push((i, f(i)));
+                        local.push((i, f(state.get_or_insert_with(init), i)));
                     }
                 })
             })
@@ -214,6 +245,73 @@ mod tests {
             }
             i
         });
+    }
+
+    #[test]
+    fn init_runs_at_most_once_per_worker() {
+        for threads in [1, 2, 8] {
+            let inits = AtomicUsize::new(0);
+            let out = run_indexed_init(
+                100,
+                Some(threads),
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i| i,
+            );
+            assert_eq!(out, (0..100).collect::<Vec<_>>());
+            let inits = inits.load(Ordering::Relaxed);
+            assert!((1..=threads).contains(&inits), "{inits} inits at {threads}");
+        }
+        // Sequential paths: the calling thread is the one worker.
+        for threads in [None, Some(0), Some(1)] {
+            let inits = AtomicUsize::new(0);
+            run_indexed_init(
+                SEQUENTIAL_BELOW - 1,
+                threads,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i| i,
+            );
+            assert_eq!(inits.load(Ordering::Relaxed), 1, "{threads:?}");
+        }
+        let inits = AtomicUsize::new(0);
+        let none = run_indexed_init(
+            0,
+            Some(4),
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, i| i,
+        );
+        assert!(none.is_empty());
+        assert_eq!(inits.load(Ordering::Relaxed), 0, "no task, no state");
+    }
+
+    #[test]
+    fn per_worker_state_results_come_back_in_index_order() {
+        for threads in [1, 2, 8] {
+            // Each worker reuses one scratch buffer across the tasks it
+            // claims; claim order must not leak into the output.
+            let out = run_indexed_init(300, Some(threads), Vec::new, |buf, i| {
+                buf.clear();
+                buf.extend(0..i % 7);
+                i * 3 + buf.len()
+            });
+            let want: Vec<usize> = (0..300).map(|i| i * 3 + i % 7).collect();
+            assert_eq!(out, want, "{threads} workers");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "task 23 failed with state 7")]
+    fn task_panics_with_state_reach_the_caller() {
+        run_indexed_init(
+            64,
+            Some(4),
+            || vec![7u8],
+            |state, i| {
+                if i == 23 {
+                    panic!("task {i} failed with state {}", state[0]);
+                }
+                state.len()
+            },
+        );
     }
 
     #[test]

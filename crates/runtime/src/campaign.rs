@@ -1,13 +1,14 @@
-//! Batched Monte-Carlo fault-injection campaigns (§6.2 methodology at
-//! scale).
+//! Monte-Carlo and exhaustive fault-injection campaigns (§6.2
+//! methodology at scale).
 //!
 //! A [`Campaign`] describes a grid of injection trials — (heap slot |
 //! op step) × seed × trigger — against one program entry point. Running
-//! it compiles the program once, takes one golden run on the bytecode
-//! VM, snapshots the post-instantiation machine state, and then fans
-//! trial *batches* over [`sjava_par`] workers. Each worker owns one
-//! [`Vm`] and replays trials by restoring the flat-heap snapshot — no
-//! re-parse, no re-compile, no re-instantiation per trial.
+//! it compiles the program once and takes one golden run on the bytecode
+//! VM; every trial is then one task on [`sjava_par`]'s shared cursor.
+//! Each worker builds one [`Vm`] over fresh inputs, instantiates it and
+//! snapshots the post-instantiation machine state, and replays every
+//! trial it claims by restoring that flat-heap snapshot — no re-parse,
+//! no re-compile, no re-instantiation per trial.
 //!
 //! Every trial is timed; the outcome reports the mean measured cost of
 //! each trial category in [`CampaignOutcome::cost_model`].
@@ -17,7 +18,7 @@ use crate::driver::{compare_runs, RecoveryStats};
 use crate::inject::{InjectKind, Injector};
 use crate::input::InputProvider;
 use crate::interp::{ExecOptions, RunResult, RuntimeError};
-use crate::vm::Vm;
+use crate::vm::{Prepared, Vm, VmSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sjava_syntax::ast::Program;
@@ -95,13 +96,11 @@ pub struct Campaign<'a> {
     pub eps: f64,
     /// Worker override (`None` = `SJAVA_THREADS`/auto).
     pub threads: Option<usize>,
-    /// Trials per batch (0 = auto-size from the worker count).
-    pub batch_size: usize,
 }
 
 impl<'a> Campaign<'a> {
     /// A campaign with the defaults used by the paper evaluation:
-    /// window 0.8, exact output comparison, auto batching.
+    /// window 0.8, exact output comparison, auto worker count.
     pub fn new(program: &'a Program, entry: (&'a str, &'a str), iterations: usize) -> Self {
         Campaign {
             program,
@@ -112,13 +111,12 @@ impl<'a> Campaign<'a> {
             inject_window: 0.8,
             eps: 0.0,
             threads: None,
-            batch_size: 0,
         }
     }
 
     /// Runs the campaign. `make_inputs` builds the (deterministic)
     /// input provider — called once for the golden run and once per
-    /// batch; every trial starts from that fresh input state.
+    /// worker; every trial starts from that fresh input state.
     ///
     /// # Errors
     ///
@@ -137,35 +135,12 @@ impl<'a> Campaign<'a> {
         let prep_steps = gvm.prepare(self.entry.0, self.entry.1)?.steps;
         let specs = self.specs(&golden, heap_cells);
 
-        let n = specs.len();
-        let bsize = if self.batch_size > 0 {
-            self.batch_size
-        } else {
-            let workers = self.threads.unwrap_or_else(sjava_par::num_threads).max(1);
-            // ~8 batches per worker keeps the pool busy to the end
-            // without paying a fresh VM per tiny batch.
-            (n.div_ceil(workers * 8)).clamp(16, 2048)
-        };
-        let n_batches = n.div_ceil(bsize);
-
-        let run_batch = |b: usize| -> Vec<TrialOutcome> {
-            let lo = b * bsize;
-            let hi = (lo + bsize).min(n);
-            run_trials_on(
-                &module,
-                make_inputs(),
-                self.entry,
-                self.iterations,
-                &specs[lo..hi],
-                &golden,
-                self.eps,
-            )
-        };
-        let per_batch = match self.threads {
-            Some(t) => sjava_par::run_indexed_with(n_batches, t, run_batch),
-            None => sjava_par::run_indexed(n_batches, run_batch),
-        };
-        let trials: Vec<TrialOutcome> = per_batch.into_iter().flatten().collect();
+        let trials = sjava_par::run_indexed_init(
+            specs.len(),
+            self.threads,
+            || TrialVm::new(&module, make_inputs(), self.entry),
+            |vm, i| vm.trial(self, &specs[i], &golden),
+        );
         let cost_model = CostModel::measured(&specs, &trials, prep_steps);
 
         let mut hist_samples = RecoveryHistogram::new(5, 400);
@@ -240,53 +215,66 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// Replays `specs` on one fresh VM over `inputs` against a shared golden
-/// run, restoring a post-instantiation snapshot between trials (falling
-/// back to a full run when the trigger can fire during instantiation).
-/// Every trial sees the state a fresh injected run would, so results
-/// never depend on how the grid is batched.
-fn run_trials_on<I: InputProvider + Clone>(
-    module: &Module,
+/// One worker's machine: a VM instantiated once over fresh inputs, the
+/// post-instantiation snapshot its resumed trials restore, and the fresh
+/// input state its full-run trials start from. Every trial sees the
+/// state a fresh injected run would, so results never depend on which
+/// worker claims which trial.
+struct TrialVm<'m, I: InputProvider> {
+    vm: Vm<'m, I>,
     inputs: I,
-    entry: (&str, &str),
-    iterations: usize,
-    specs: &[TrialSpec],
-    golden: &RunResult,
-    eps: f64,
-) -> Vec<TrialOutcome> {
-    let mut vm = Vm::new(module, inputs.clone(), ExecOptions::default());
-    let prep = vm
-        .prepare(entry.0, entry.1)
-        .expect("campaign entry resolved by the golden run");
-    let snap = vm.snapshot();
-    specs
-        .iter()
-        .map(|spec| {
-            let t0 = Instant::now();
-            let run = if spec.trigger > prep.steps {
-                vm.restore(&snap);
-                vm.resume(&prep, iterations, Some(spec.injector()))
-            } else {
-                // A full run re-instantiates, so it must also start from
-                // the fresh input state rather than wherever earlier
-                // trials left the cursor. The post-prepare snapshot is
-                // not that state: field initializers may read inputs.
-                vm.set_inputs(inputs.clone());
-                vm.set_injector(Some(spec.injector()));
-                vm.run(entry.0, entry.1, iterations)
-            }
-            .expect("injected run cannot fail in ignore-errors mode");
-            let stats = compare_runs(&golden.iteration_outputs, &run.iteration_outputs, eps);
-            TrialOutcome {
-                seed: spec.seed,
-                trigger: spec.trigger,
-                kind: spec.kind,
-                injected_at: run.injected_at,
-                stats,
-                ns: t0.elapsed().as_nanos() as u64,
-            }
-        })
-        .collect()
+    prep: Prepared,
+    snap: VmSnapshot<I>,
+}
+
+impl<'m, I: InputProvider + Clone> TrialVm<'m, I> {
+    fn new(module: &'m Module, inputs: I, entry: (&str, &str)) -> Self {
+        let mut vm = Vm::new(module, inputs.clone(), ExecOptions::default());
+        let prep = vm
+            .prepare(entry.0, entry.1)
+            .expect("campaign entry resolved by the golden run");
+        let snap = vm.snapshot();
+        TrialVm {
+            vm,
+            inputs,
+            prep,
+            snap,
+        }
+    }
+
+    /// Runs one trial of `campaign` against its golden run: restore and
+    /// resume, or a full run when the trigger can fire during
+    /// instantiation.
+    fn trial(&mut self, campaign: &Campaign, spec: &TrialSpec, golden: &RunResult) -> TrialOutcome {
+        let t0 = Instant::now();
+        let vm = &mut self.vm;
+        let run = if spec.trigger > self.prep.steps {
+            vm.restore(&self.snap);
+            vm.resume(&self.prep, campaign.iterations, Some(spec.injector()))
+        } else {
+            // A full run re-instantiates, so it must also start from
+            // the fresh input state rather than wherever earlier
+            // trials left the cursor. The post-prepare snapshot is
+            // not that state: field initializers may read inputs.
+            vm.set_inputs(self.inputs.clone());
+            vm.set_injector(Some(spec.injector()));
+            vm.run(campaign.entry.0, campaign.entry.1, campaign.iterations)
+        }
+        .expect("injected run cannot fail in ignore-errors mode");
+        let stats = compare_runs(
+            &golden.iteration_outputs,
+            &run.iteration_outputs,
+            campaign.eps,
+        );
+        TrialOutcome {
+            seed: spec.seed,
+            trigger: spec.trigger,
+            kind: spec.kind,
+            injected_at: run.injected_at,
+            stats,
+            ns: t0.elapsed().as_nanos() as u64,
+        }
+    }
 }
 
 /// Mean measured nanoseconds per trial category over a campaign's own
@@ -489,7 +477,6 @@ mod tests {
         let p = parse(SRC).expect("parses");
         let mut c = Campaign::new(&p, ("A", "main"), 6);
         c.trials = 60;
-        c.batch_size = 7;
         c.threads = Some(1);
         let a = c.run(inputs).expect("campaign");
         c.threads = Some(4);
@@ -503,6 +490,54 @@ mod tests {
         assert_eq!(strip(&a), strip(&b));
         assert_eq!(a.hist_samples.buckets, b.hist_samples.buckets);
         assert_eq!(a.hist_iterations.buckets, b.hist_iterations.buckets);
+    }
+
+    #[test]
+    fn trials_fan_out_over_the_pool_with_one_vm_per_worker() {
+        // Batches of ≥16 trials once kept every campaign under the
+        // pool's sequential cutover, so it never left the calling
+        // thread, and built a fresh VM (and inputs) per batch.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let p = parse(SRC).expect("parses");
+        let mut c = Campaign::new(&p, ("A", "main"), 6);
+        c.trials = 2 * sjava_par::SEQUENTIAL_BELOW;
+        let made = AtomicUsize::new(0);
+        let counted = || {
+            made.fetch_add(1, Ordering::Relaxed);
+            inputs()
+        };
+
+        c.threads = Some(2);
+        let before = sjava_par::pooled_fan_outs();
+        let pooled = c.run(counted).expect("campaign");
+        assert!(
+            sjava_par::pooled_fan_outs() > before,
+            "trials must reach the pool"
+        );
+        let calls = made.swap(0, Ordering::Relaxed);
+        assert!(
+            calls <= 1 + 2,
+            "{calls} make_inputs calls: one golden run plus one per worker expected"
+        );
+
+        c.threads = None;
+        let before = sjava_par::pooled_fan_outs();
+        let auto = c.run(counted).expect("campaign");
+        let workers = sjava_par::num_threads();
+        if workers > 1 {
+            assert!(
+                sjava_par::pooled_fan_outs() > before,
+                "the default campaign must pool on {workers} workers"
+            );
+        }
+        assert!(made.load(Ordering::Relaxed) <= 1 + workers);
+        let semantic = |o: &CampaignOutcome| {
+            o.trials
+                .iter()
+                .map(|t| (t.seed, t.trigger, t.injected_at, t.stats.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(semantic(&pooled), semantic(&auto));
     }
 
     #[test]

@@ -10,8 +10,11 @@
 #      regression in crates/bench/tests/determinism.rs and the
 #      process-level `sjava check` byte-identity checks in tests/cli.rs)
 #   4. clippy with warnings denied
-#   5. an explicit release-mode run of the determinism regression, so
-#      the parallel pipeline is exercised with optimizations on
+#   5. explicit release-mode runs of the determinism regression and of
+#      the VM-equivalence suite (crates/bench/tests/vm_equiv.rs, whose
+#      campaign sweeps pin per-trial results across worker counts), so
+#      the parallel pipeline and the campaign workers are exercised with
+#      optimizations on and real interleaving
 #   6. the golden-diagnostic snapshot suite (regenerate fixtures with
 #      SJAVA_REGEN_GOLDEN=1 after an intentional diagnostic change),
 #      followed by a freshness gate: the fixtures are regenerated into
@@ -72,6 +75,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== determinism: identical diagnostics at 1..8 worker threads =="
 cargo test --release -q -p sjava-bench --test determinism
+
+echo "== campaign invariance: identical trials at 1, 2 and 4 workers (release) =="
+cargo test --release -q -p sjava-bench --test vm_equiv
 
 echo "== golden diagnostics (apps + violation probes, cold and cached) =="
 cargo test --release -q -p sjava-bench --test golden

@@ -19,8 +19,8 @@
 //! sjava campaign --app=<windsensor|weather|sumobot|eyetrack|mp3dec|stress>
 //!                [--trials=N] [--grid=mc|lattice:SEEDSxTRIGGERS] [--iters=N]
 //!                [--window=F] [--eps=F] [--threads=N] [--out=PATH]
-//!                                       batched fault-injection campaign on
-//!                                       the register-bytecode VM; prints the
+//!                                       fault-injection campaign on the
+//!                                       register-bytecode VM; prints the
 //!                                       recovery histogram, optional CSV out
 //! ```
 //!
@@ -252,10 +252,10 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     }
 }
 
-/// `sjava campaign`: runs a batched Monte-Carlo (or exhaustive-lattice)
+/// `sjava campaign`: runs a Monte-Carlo (or exhaustive-lattice)
 /// fault-injection campaign on the register-bytecode VM — one compile,
-/// one golden run, per-trial heap-snapshot restore — and prints the
-/// recovery-time histogram:
+/// one golden run, one VM per worker, per-trial heap-snapshot restore —
+/// and prints the recovery-time histogram:
 ///
 /// ```text
 /// sjava campaign --app=mp3dec --trials=100000
@@ -300,6 +300,10 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                 Err(c) => return c,
             },
             "--threads" => match numeric(value) {
+                Ok(0) => {
+                    eprintln!("error: `--threads` needs at least 1 worker, got `{a}`");
+                    return ExitCode::from(EXIT_USAGE);
+                }
                 Ok(n) => threads = Some(n),
                 Err(c) => return c,
             },

@@ -268,6 +268,71 @@ fn check_rejects_removed_shard_flags() {
     }
 }
 
+/// Runs `sjava campaign <args>` with `SJAVA_THREADS` removed from the
+/// environment, so a run without `--threads` uses the machine's width.
+fn campaign(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_sjava"))
+        .arg("campaign")
+        .args(args)
+        .env_remove("SJAVA_THREADS")
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn campaign_output_is_thread_invariant() {
+    // The histogram CSV and every non-timing stdout line must not depend
+    // on the worker count: one worker, four, or the default width.
+    let dir = std::env::temp_dir().join(format!("sjava-cli-campaign-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let csv_path = dir.join("hist.csv");
+    let out_flag = format!("--out={}", csv_path.display());
+    let run = |threads: Option<&str>| -> (String, Vec<u8>) {
+        let mut args = vec!["--app=windsensor", "--trials=64", out_flag.as_str()];
+        args.extend(threads);
+        let out = campaign(&args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // The header line reports wall time and throughput, and the
+        // measured-cost line reports per-trial nanoseconds.
+        let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
+        let kept: String = stdout
+            .lines()
+            .filter(|l| !l.contains(" trials in ") && !l.starts_with("measured cost"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let csv = std::fs::read(&csv_path).expect("--out written");
+        std::fs::remove_file(&csv_path).expect("rm csv");
+        (kept, csv)
+    };
+    let one = run(Some("--threads=1"));
+    let four = run(Some("--threads=4"));
+    let auto = run(None);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(one.0.contains("diverged: "), "{}", one.0);
+    assert!(one.1.starts_with(b"bucket_lo,count\n"));
+    assert_eq!(four.0, one.0, "stdout differs at --threads=4");
+    assert_eq!(four.1, one.1, "CSV differs at --threads=4");
+    assert_eq!(auto.0, one.0, "stdout differs at the default width");
+    assert_eq!(auto.1, one.1, "CSV differs at the default width");
+}
+
+#[test]
+fn campaign_rejects_zero_threads() {
+    let out = campaign(&["--app=windsensor", "--trials=4", "--threads=0"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "--threads=0 must be a usage error"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--threads"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no campaign may run");
+}
+
 fn walk_count(dir: &std::path::Path) -> usize {
     let mut n = 0;
     let mut stack = vec![dir.to_path_buf()];
