@@ -90,7 +90,7 @@ pub fn inputs(seed: u64) -> impl InputProvider + Clone {
 mod tests {
     use super::*;
     use sjava_core::check_program;
-    use sjava_runtime::{compare_runs, ExecOptions, Injector, Interpreter};
+    use sjava_runtime::{compare_runs, compile, ExecOptions, Injector, Vm};
 
     #[test]
     fn checks_self_stabilizing() {
@@ -102,7 +102,8 @@ mod tests {
     #[test]
     fn runs_and_emits_directions() {
         let p = sjava_syntax::parse(SOURCE).expect("parses");
-        let r = Interpreter::new(&p, inputs(0), ExecOptions::default())
+        let module = compile(&p);
+        let r = Vm::new(&module, inputs(0), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 25)
             .expect("runs");
         assert_eq!(r.iteration_outputs.len(), 25);
@@ -115,12 +116,13 @@ mod tests {
     #[test]
     fn recovers_within_three_iterations() {
         let p = sjava_syntax::parse(SOURCE).expect("parses");
-        let golden = Interpreter::new(&p, inputs(0), ExecOptions::default())
+        let module = compile(&p);
+        let golden = Vm::new(&module, inputs(0), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 40)
             .expect("golden");
         for seed in 0..30u64 {
             let trigger = 100 + seed * 17;
-            let run = Interpreter::new(&p, inputs(0), ExecOptions::default())
+            let run = Vm::new(&module, inputs(0), ExecOptions::default())
                 .with_injector(Injector::new(seed, trigger))
                 .run(ENTRY.0, ENTRY.1, 40)
                 .expect("injected");

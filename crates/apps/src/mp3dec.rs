@@ -241,7 +241,7 @@ pub fn frame_samples(granule: usize) -> usize {
 mod tests {
     use super::*;
     use sjava_core::check_program;
-    use sjava_runtime::{compare_runs, ExecOptions, Injector, Interpreter};
+    use sjava_runtime::{compare_runs, compile, ExecOptions, Injector, Vm};
 
     fn small_source() -> String {
         source_with(24, 4)
@@ -258,7 +258,8 @@ mod tests {
     fn runs_and_produces_pcm() {
         let src = small_source();
         let p = sjava_syntax::parse(&src).expect("parses");
-        let r = Interpreter::new(&p, inputs_for(0, 24), ExecOptions::default())
+        let module = compile(&p);
+        let r = Vm::new(&module, inputs_for(0, 24), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 3)
             .expect("runs");
         assert_eq!(r.iteration_outputs.len(), 3);
@@ -277,10 +278,11 @@ mod tests {
     fn golden_runs_are_deterministic() {
         let src = small_source();
         let p = sjava_syntax::parse(&src).expect("parses");
-        let a = Interpreter::new(&p, inputs_for(0, 24), ExecOptions::default())
+        let module = compile(&p);
+        let a = Vm::new(&module, inputs_for(0, 24), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 4)
             .expect("a");
-        let b = Interpreter::new(&p, inputs_for(0, 24), ExecOptions::default())
+        let b = Vm::new(&module, inputs_for(0, 24), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 4)
             .expect("b");
         assert_eq!(a.iteration_outputs, b.iteration_outputs);
@@ -292,14 +294,15 @@ mod tests {
         let w = 4;
         let src = source_with(g, w);
         let p = sjava_syntax::parse(&src).expect("parses");
+        let module = compile(&p);
         let frames = 8;
-        let golden = Interpreter::new(&p, inputs_for(0, g), ExecOptions::default())
+        let golden = Vm::new(&module, inputs_for(0, g), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, frames)
             .expect("golden");
         let total_steps = golden.steps;
         for seed in 0..40u64 {
             let trigger = 1 + (seed * 1013) % (total_steps * 3 / 4);
-            let run = Interpreter::new(&p, inputs_for(0, g), ExecOptions::default())
+            let run = Vm::new(&module, inputs_for(0, g), ExecOptions::default())
                 .with_injector(Injector::new(seed, trigger))
                 .run(ENTRY.0, ENTRY.1, frames)
                 .expect("injected");
@@ -329,14 +332,15 @@ mod tests {
         let w = 4;
         let src = source_with(g, w);
         let p = sjava_syntax::parse(&src).expect("parses");
-        let golden = Interpreter::new(&p, inputs_for(0, g), ExecOptions::default())
+        let module = compile(&p);
+        let golden = Vm::new(&module, inputs_for(0, g), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 6)
             .expect("golden");
         let mut granule_recoveries = Vec::new();
         let mut other_recoveries = Vec::new();
         for seed in 0..120u64 {
             let trigger = 1 + (seed * 389) % (golden.steps / 2);
-            let run = Interpreter::new(&p, inputs_for(0, g), ExecOptions::default())
+            let run = Vm::new(&module, inputs_for(0, g), ExecOptions::default())
                 .with_injector(Injector::new(seed, trigger))
                 .run(ENTRY.0, ENTRY.1, 6)
                 .expect("run");

@@ -98,7 +98,7 @@ pub fn inputs(seed: u64) -> impl InputProvider + Clone {
 mod tests {
     use super::*;
     use sjava_core::check_program;
-    use sjava_runtime::{compare_runs, ExecOptions, Injector, Interpreter};
+    use sjava_runtime::{compare_runs, compile, ExecOptions, Injector, Vm};
 
     #[test]
     fn checks_self_stabilizing() {
@@ -110,7 +110,8 @@ mod tests {
     #[test]
     fn runs_and_issues_commands() {
         let p = sjava_syntax::parse(SOURCE).expect("parses");
-        let r = Interpreter::new(&p, inputs(0), ExecOptions::default())
+        let module = compile(&p);
+        let r = Vm::new(&module, inputs(0), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 30)
             .expect("runs");
         assert_eq!(r.iteration_outputs.len(), 30);
@@ -132,12 +133,13 @@ mod tests {
         // §6.2.3: the controller is stateless per iteration, so any
         // injected error is gone by the next iteration.
         let p = sjava_syntax::parse(SOURCE).expect("parses");
-        let golden = Interpreter::new(&p, inputs(0), ExecOptions::default())
+        let module = compile(&p);
+        let golden = Vm::new(&module, inputs(0), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 40)
             .expect("golden");
         for seed in 0..30u64 {
             let trigger = 30 + seed * 11;
-            let run = Interpreter::new(&p, inputs(0), ExecOptions::default())
+            let run = Vm::new(&module, inputs(0), ExecOptions::default())
                 .with_injector(Injector::new(seed, trigger))
                 .run(ENTRY.0, ENTRY.1, 40)
                 .expect("injected");

@@ -56,13 +56,14 @@ mod tests {
     use super::*;
     use sjava_core::check_program;
     use sjava_infer::{infer, Mode};
-    use sjava_runtime::{ExecOptions, Interpreter};
+    use sjava_runtime::{compile, ExecOptions, Vm};
     use sjava_syntax::pretty::print_program;
 
     #[test]
     fn runs_and_outputs() {
         let p = sjava_syntax::parse(SOURCE).expect("parses");
-        let r = Interpreter::new(&p, inputs(1), ExecOptions::default())
+        let module = compile(&p);
+        let r = Vm::new(&module, inputs(1), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 8)
             .expect("runs");
         assert_eq!(r.iteration_outputs.len(), 8);
@@ -101,12 +102,13 @@ mod tests {
     fn recovers_within_two_iterations() {
         use sjava_runtime::{compare_runs, Injector};
         let p = sjava_syntax::parse(SOURCE).expect("parses");
-        let golden = Interpreter::new(&p, inputs(1), ExecOptions::default())
+        let module = compile(&p);
+        let golden = Vm::new(&module, inputs(1), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 30)
             .expect("golden");
         for seed in 0..20u64 {
             let trigger = 20 + seed * 9;
-            let run = Interpreter::new(&p, inputs(1), ExecOptions::default())
+            let run = Vm::new(&module, inputs(1), ExecOptions::default())
                 .with_injector(Injector::new(seed, trigger))
                 .run(ENTRY.0, ENTRY.1, 30)
                 .expect("injected");

@@ -66,7 +66,7 @@ pub fn inputs(seed: u64) -> impl InputProvider + Clone {
 mod tests {
     use super::*;
     use sjava_core::check_program;
-    use sjava_runtime::{ExecOptions, Interpreter};
+    use sjava_runtime::{compile, ExecOptions, Vm};
 
     #[test]
     fn checks_self_stabilizing() {
@@ -78,7 +78,8 @@ mod tests {
     #[test]
     fn runs_and_outputs() {
         let p = sjava_syntax::parse(SOURCE).expect("parses");
-        let r = Interpreter::new(&p, inputs(3), ExecOptions::default())
+        let module = compile(&p);
+        let r = Vm::new(&module, inputs(3), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 20)
             .expect("runs");
         assert_eq!(r.iteration_outputs.len(), 20);
@@ -89,12 +90,13 @@ mod tests {
     fn recovers_within_three_iterations() {
         use sjava_runtime::{compare_runs, Injector};
         let p = sjava_syntax::parse(SOURCE).expect("parses");
-        let golden = Interpreter::new(&p, inputs(3), ExecOptions::default())
+        let module = compile(&p);
+        let golden = Vm::new(&module, inputs(3), ExecOptions::default())
             .run(ENTRY.0, ENTRY.1, 30)
             .expect("golden");
         for seed in 0..20u64 {
             let trigger = 40 + seed * 13;
-            let run = Interpreter::new(&p, inputs(3), ExecOptions::default())
+            let run = Vm::new(&module, inputs(3), ExecOptions::default())
                 .with_injector(Injector::new(seed, trigger))
                 .run(ENTRY.0, ENTRY.1, 30)
                 .expect("injected");

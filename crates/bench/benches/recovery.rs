@@ -1,9 +1,9 @@
-//! Interpreter and error-injection throughput: decoded frames per second
-//! in the golden run and a full injected trial (the Fig 6.1 inner loop).
+//! VM and error-injection throughput: decoded frames per second
+//! in the golden run and a small injected campaign (the Fig 6.1 loop).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sjava_apps::mp3dec;
-use sjava_bench::{run_golden, run_trial};
+use sjava_bench::{run_golden, run_trials};
 use std::hint::black_box;
 
 fn bench_decode(c: &mut Criterion) {
@@ -22,22 +22,19 @@ fn bench_decode(c: &mut Criterion) {
         })
     });
     let golden = run_golden(&program, mp3dec::ENTRY, mp3dec::inputs_for(0, g), 4);
-    c.bench_function("injected_trial_4_frames", |b| {
-        let mut seed = 0u64;
+    c.bench_function("injected_campaign_8_trials_4_frames", |b| {
         b.iter(|| {
-            seed += 1;
-            run_trial(
+            run_trials(
                 black_box(&program),
                 mp3dec::ENTRY,
-                mp3dec::inputs_for(0, g),
+                || mp3dec::inputs_for(0, g),
                 4,
                 &golden,
-                seed,
+                8,
                 0.6,
                 1e-9,
             )
-            .stats
-            .diverged
+            .len()
         })
     });
 }

@@ -3,18 +3,15 @@
 //! injection (1,000 trials in the paper; 466 with corrupted outputs).
 //!
 //! Trials run as a campaign on the register-bytecode VM — one
-//! compile, one golden run, per-trial heap-snapshot restore — which is
-//! what makes the 100k-trial default tractable. Per-seed triggers,
-//! kinds and recovery stats are identical to the historical
-//! interpreter-per-trial pipeline (`bench_vm --gate` enforces trace
-//! identity between the engines).
+//! compile, one VM per worker, per-trial heap-snapshot restore — which
+//! is what makes the 100k-trial default tractable.
 //!
 //! Usage: `cargo run --release -p sjava-bench --bin fig6_1`
 //! Env overrides: `SJAVA_TRIALS` (default 100000), `SJAVA_GRANULE` (192),
 //! `SJAVA_WINDOW` (8), `SJAVA_FRAMES` (10).
 
 use sjava_apps::mp3dec;
-use sjava_bench::{env_usize, run_trials_vm, write_result, Histogram};
+use sjava_bench::{env_usize, run_golden, run_trials, write_result, Histogram};
 
 fn main() {
     let trials = env_usize("SJAVA_TRIALS", 100_000);
@@ -34,11 +31,18 @@ fn main() {
     );
     let started = std::time::Instant::now();
     // Inject within the first 60% of the run so recovery fits inside it.
-    let (golden, results) = run_trials_vm(
+    let golden = run_golden(
+        &program,
+        mp3dec::ENTRY,
+        mp3dec::inputs_for(0, granule),
+        frames,
+    );
+    let results = run_trials(
         &program,
         mp3dec::ENTRY,
         || mp3dec::inputs_for(0, granule),
         frames,
+        &golden,
         trials,
         0.6,
         1e-9,

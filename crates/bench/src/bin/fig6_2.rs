@@ -6,7 +6,7 @@
 //! The seed scan runs on the register-bytecode VM: the decoder is
 //! compiled once, the post-instantiation machine state is snapshotted,
 //! and each candidate seed replays via snapshot restore instead of a
-//! fresh interpreter.
+//! fresh instantiation.
 //!
 //! Usage: `cargo run --release -p sjava-bench --bin fig6_2`
 //! Env overrides: `SJAVA_GRANULE`, `SJAVA_WINDOW`, `SJAVA_SEED`.

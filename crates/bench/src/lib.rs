@@ -11,11 +11,7 @@
 pub mod fuzz;
 pub mod stressgen;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sjava_runtime::{
-    compare_runs, ExecOptions, Injector, InputProvider, Interpreter, RecoveryStats, RunResult,
-};
+use sjava_runtime::{compile, Campaign, ExecOptions, InputProvider, RecoveryStats, RunResult, Vm};
 use sjava_syntax::ast::Program;
 
 /// One error-injection trial against a shared golden run.
@@ -36,52 +32,26 @@ pub fn run_golden<I: InputProvider>(
     inputs: I,
     iterations: usize,
 ) -> RunResult {
-    Interpreter::new(program, inputs, ExecOptions::default())
+    Vm::new(&compile(program), inputs, ExecOptions::default())
         .run(entry.0, entry.1, iterations)
         .expect("golden run cannot fail in ignore-errors mode")
 }
 
-/// Runs one injected trial: the trigger step is drawn uniformly from the
-/// first `inject_window` fraction of the golden run's steps.
-#[allow(clippy::too_many_arguments)]
-pub fn run_trial<I: InputProvider>(
-    program: &Program,
-    entry: (&str, &str),
-    inputs: I,
-    iterations: usize,
-    golden: &RunResult,
-    seed: u64,
-    inject_window: f64,
-    eps: f64,
-) -> Trial {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e3779b97f4a7c15));
-    let max_step = ((golden.steps as f64) * inject_window).max(2.0) as u64;
-    let trigger = rng.gen_range(1..max_step);
-    // Alternate between "mathematical operation" and "memory" errors, as
-    // in the paper's injection methodology (§6.2).
-    let kind = if seed.is_multiple_of(2) {
-        sjava_runtime::inject::InjectKind::Op
-    } else {
-        sjava_runtime::inject::InjectKind::Heap
-    };
-    let run = Interpreter::new(program, inputs, ExecOptions::default())
-        .with_injector(Injector::with_kind(seed, trigger, kind))
-        .run(entry.0, entry.1, iterations)
-        .expect("injected run cannot fail in ignore-errors mode");
-    let stats = compare_runs(&golden.iteration_outputs, &run.iteration_outputs, eps);
-    Trial {
-        seed,
-        injected_at: run.injected_at,
-        stats,
-    }
-}
-
-/// Runs trials with seeds `0..trials` against one golden run, fanning
-/// the embarrassingly-parallel injections across `sjava_par` workers
-/// (`SJAVA_THREADS` overrides the width). `make_inputs` builds a fresh
-/// input provider per trial. Results come back in seed order, so every
+/// Runs trials with seeds `0..trials` against `golden` as a VM campaign
+/// ([`Grid::MonteCarlo`](sjava_runtime::Grid::MonteCarlo)): per seed, the
+/// trigger step is drawn uniformly from the first `inject_window`
+/// fraction of the golden run's steps, and the kind alternates between
+/// operation and heap errors. One compile, one VM per `sjava_par` worker
+/// (`SJAVA_THREADS` overrides the width) and a per-trial snapshot
+/// restore. `make_inputs` builds fresh
+/// inputs once per worker. Results come back in seed order, so every
 /// downstream aggregate (histograms, counters, CSV rows) is identical at
 /// any thread count.
+///
+/// # Panics
+///
+/// If `golden` is not the golden run of this program, entry, input and
+/// iteration count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_trials<I, F>(
     program: &Program,
@@ -94,58 +64,28 @@ pub fn run_trials<I, F>(
     eps: f64,
 ) -> Vec<Trial>
 where
-    I: InputProvider,
-    F: Fn() -> I + Sync,
-{
-    sjava_par::run_indexed(trials, |i| {
-        run_trial(
-            program,
-            entry,
-            make_inputs(),
-            iterations,
-            golden,
-            i as u64,
-            inject_window,
-            eps,
-        )
-    })
-}
-
-/// Runs seeds `0..trials` as a VM campaign: same per-seed trigger/kind
-/// derivation and recovery stats as [`run_trials`], but executed on the
-/// register-bytecode VM with one compile, one golden run, one VM per
-/// worker and per-trial snapshot restore instead of a fresh interpreter
-/// per trial. Returns the campaign's own (VM) golden run alongside the
-/// trials; its outputs are byte-identical to the tree-walker's (gated
-/// by `bench_vm --gate`).
-pub fn run_trials_vm<I, F>(
-    program: &Program,
-    entry: (&str, &str),
-    make_inputs: F,
-    iterations: usize,
-    trials: usize,
-    inject_window: f64,
-    eps: f64,
-) -> (RunResult, Vec<Trial>)
-where
     I: InputProvider + Clone,
     F: Fn() -> I + Sync,
 {
-    let mut c = sjava_runtime::Campaign::new(program, entry, iterations);
+    let mut c = Campaign::new(program, entry, iterations);
     c.trials = trials;
     c.inject_window = inject_window;
     c.eps = eps;
     let out = c.run(make_inputs).expect("campaign entry must resolve");
-    let trials = out
-        .trials
+    // Debug renderings, so NaN outputs compare equal to themselves.
+    assert_eq!(
+        format!("{:?}", (out.golden.steps, &out.golden.iteration_outputs)),
+        format!("{:?}", (golden.steps, &golden.iteration_outputs)),
+        "`golden` must be the golden run of the campaign's program and inputs"
+    );
+    out.trials
         .into_iter()
         .map(|t| Trial {
             seed: t.seed,
             injected_at: t.injected_at,
             stats: t.stats,
         })
-        .collect();
-    (out.golden, trials)
+        .collect()
 }
 
 /// A fixed-width histogram over recovery sample counts.
@@ -271,18 +211,18 @@ mod tests {
             sjava_apps::windsensor::inputs(1),
             20,
         );
+        let trials = run_trials(
+            &p,
+            sjava_apps::windsensor::ENTRY,
+            || sjava_apps::windsensor::inputs(1),
+            20,
+            &golden,
+            10,
+            0.8,
+            0.0,
+        );
         let mut diverged = 0;
-        for seed in 0..10 {
-            let t = run_trial(
-                &p,
-                sjava_apps::windsensor::ENTRY,
-                sjava_apps::windsensor::inputs(1),
-                20,
-                &golden,
-                seed,
-                0.8,
-                0.0,
-            );
+        for t in &trials {
             if t.stats.diverged {
                 diverged += 1;
                 assert!(t.stats.recovery_iterations <= 3);

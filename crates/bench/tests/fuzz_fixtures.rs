@@ -21,13 +21,11 @@
 //! ```
 
 use std::collections::BTreeSet;
-use std::fs;
-use std::path::PathBuf;
 
 use sjava_bench::fuzz::{gen, minimize};
 use sjava_syntax::{emit, SourceFile};
 
-const REGEN_ENV: &str = "SJAVA_REGEN_GOLDEN";
+mod common;
 
 /// `(fixture name, stream seed, case index)` — every pair parses and
 /// errors; together they cover six diagnostic families.
@@ -40,31 +38,9 @@ const FIXTURES: &[(&str, u64, u64)] = &[
     ("near_miss_missing_annot", 11, 34),
 ];
 
-fn fixture_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("fuzz")
-}
-
 fn assert_matches_fixture(name: &str, ext: &str, rendered: &str) {
-    let path = fixture_dir().join(format!("{name}.{ext}"));
-    if std::env::var(REGEN_ENV).as_deref() == Ok("1") {
-        fs::create_dir_all(fixture_dir()).expect("create fixture dir");
-        fs::write(&path, rendered).expect("write fixture");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run with {REGEN_ENV}=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, expected,
-        "golden mismatch for `{name}.{ext}`; if the new output is intended, \
-         regenerate with {REGEN_ENV}=1 and review the fixture diff"
-    );
+    let path = common::fixture_path(&format!("fuzz/{name}.{ext}"));
+    common::assert_matches_fixture(&path, rendered);
 }
 
 /// The set of error codes a source produces, or `None` when it does not

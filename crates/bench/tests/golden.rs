@@ -15,17 +15,7 @@
 //! SJAVA_REGEN_GOLDEN=1 cargo test -p sjava-bench --test golden
 //! ```
 
-use std::fs;
-use std::path::PathBuf;
-
-/// Set to `1` to rewrite the fixtures instead of comparing against them.
-const REGEN_ENV: &str = "SJAVA_REGEN_GOLDEN";
-
-fn fixture_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-}
+mod common;
 
 /// Renders a report the same way for the full and incremental checkers.
 fn render(result: Result<sjava_core::CheckReport, sjava_core::ParseFailure>) -> String {
@@ -41,23 +31,7 @@ fn render(result: Result<sjava_core::CheckReport, sjava_core::ParseFailure>) -> 
 }
 
 fn assert_matches_fixture(name: &str, rendered: &str) {
-    let path = fixture_dir().join(format!("{name}.txt"));
-    if std::env::var(REGEN_ENV).as_deref() == Ok("1") {
-        fs::create_dir_all(fixture_dir()).expect("create fixture dir");
-        fs::write(&path, rendered).expect("write fixture");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run with {REGEN_ENV}=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, expected,
-        "golden mismatch for `{name}`; if the new output is intended, \
-         regenerate with {REGEN_ENV}=1 and review the fixture diff"
-    );
+    common::assert_matches_fixture(&common::fixture_path(&format!("{name}.txt")), rendered);
 }
 
 /// Snapshots one source and pins the incremental checker to the same

@@ -6,14 +6,12 @@
 //! time), plus synthesized chunks for field initializers and lazy
 //! static initializers. The dispatch loop lives in [`crate::vm`].
 //!
-//! The companion [`FlatHeap`] replaces the interpreter's
-//! `HashMap`-field [`crate::value::Heap`] with a single `Vec<Value>`
-//! slot arena plus typed per-entry metadata (class layout or array
-//! element default). It implements [`crate::inject::InjectableHeap`]
-//! with exactly the legacy cell ordering, so seeded fault injection
-//! picks the same cell on either heap representation.
+//! The companion [`FlatHeap`] is a single `Vec<Value>` slot arena plus
+//! typed per-entry metadata (class layout or array element default). It
+//! addresses its cells in the fixed order that seeded fault injection
+//! ranks them by (see [`crate::inject::Injector::corrupt_heap`]).
 
-use crate::inject::{lex_nth_index, InjectableHeap};
+use crate::inject::lex_nth_index;
 use crate::value::Value;
 use sjava_syntax::ast::{
     BinOp, Block, ClassDecl, Expr, LValue, LoopKind, MethodDecl, Program, Stmt, Type, UnOp,
@@ -46,7 +44,7 @@ pub(crate) enum Op {
         src: u16,
     },
     /// Bare-name assign: local if defined, else `store_fbs[fb]` when
-    /// `this` is bound, else define a local (§interp `assign`).
+    /// `this` is bound, else define a local.
     StoreLocalOrField {
         slot: u16,
         src: u16,
@@ -259,9 +257,8 @@ pub(crate) enum Op {
     LoopDone,
 }
 
-/// Fallback behaviour for reading an undefined local (§interp
-/// `Expr::Var`): unbound, an instance field of `this`, or a static of
-/// the context class.
+/// Fallback behaviour for reading an undefined local: unbound, an
+/// instance field of `this`, or a static of the context class.
 #[derive(Debug, Clone)]
 pub(crate) enum VarFallback {
     Unbound {
@@ -285,8 +282,8 @@ pub(crate) enum VarFallback {
 pub(crate) enum StoreFallback {
     /// Instance-layout slot.
     Field { off: u16 },
-    /// The first matching declaration is static-only: the interpreter
-    /// still writes an *instance* field of that name (overflow slot).
+    /// The first matching declaration is static-only: the VM still
+    /// writes an *instance* field of that name (overflow slot).
     Overflow { name: u32 },
 }
 
@@ -313,7 +310,7 @@ pub(crate) struct ClassInfo {
     /// `(name id, offset)` sorted by name id, for dynamic field ops.
     pub(crate) field_index: Vec<(u32, u16)>,
     /// Offsets ordered by field-name *string* (the injection rank
-    /// order fixed by [`InjectableHeap`]).
+    /// order fixed by [`crate::inject::Injector::corrupt_heap`]).
     pub(crate) lex_order: Vec<u16>,
     /// Defaults for names whose first chain match is a static field
     /// (reachable as instance-miss defaults), sorted by name id.
@@ -365,8 +362,7 @@ impl Module {
 }
 
 /// Compiles a program to register bytecode. Infallible: unresolvable
-/// constructs lower to the same soft/hard errors the interpreter
-/// raises at runtime.
+/// constructs lower to soft/hard errors the VM raises at runtime.
 pub fn compile(program: &Program) -> Module {
     let c = Compiler {
         program,
@@ -593,7 +589,7 @@ impl<'p> Compiler<'p> {
         lex.sort_unstable();
         let lex_order = lex.into_iter().map(|(_, i)| i).collect();
         // Names whose first chain match is static: the default an
-        // instance-field miss falls back to (interp `field_default`).
+        // instance-field miss falls back to.
         let mut static_defaults: Vec<(u32, Value)> = Vec::new();
         let mut seen_first = std::collections::HashSet::new();
         for cd in &chain {
@@ -655,8 +651,7 @@ impl<'p> Compiler<'p> {
         Some(chunk)
     }
 
-    /// The static slot for `Class.field` (queried-class keyed, exactly
-    /// like the interpreter's `statics` map).
+    /// The static slot for `Class.field` (keyed by the queried class).
     fn static_slot(&mut self, class: &str, field: &str) -> u32 {
         let cid = self.class_id_or_synth(class);
         let nid = self.name(field);
@@ -1650,8 +1645,8 @@ pub struct FlatHeapSnapshot {
 }
 
 /// The VM heap: one flat `Vec<Value>` slot arena plus typed per-entry
-/// metadata. Entry indices coincide with the tree-walker's `ObjId`s
-/// (allocation order is identical), so `Value::Ref` displays match.
+/// metadata. Entry indices are allocation order and double as the
+/// `ObjId`s that `Value::Ref` displays.
 #[derive(Debug)]
 pub struct FlatHeap<'m> {
     module: &'m Module,
@@ -1847,12 +1842,16 @@ impl<'m> FlatHeap<'m> {
     }
 }
 
-impl InjectableHeap for FlatHeap<'_> {
-    fn entry_count(&self) -> usize {
+/// Cell addressing for fault injection, in the rank order of
+/// [`crate::inject::Injector::corrupt_heap`].
+impl FlatHeap<'_> {
+    /// Number of allocated entries.
+    pub(crate) fn entry_count(&self) -> usize {
         self.entries.len()
     }
 
-    fn entry_cells(&self, i: usize) -> (bool, usize) {
+    /// `(is_array, cell_count)` for entry `i`.
+    pub(crate) fn entry_cells(&self, i: usize) -> (bool, usize) {
         match &self.entries[i].kind {
             FlatKind::Array { .. } => (true, self.entries[i].len as usize),
             FlatKind::Object { overflow, .. } => {
@@ -1861,7 +1860,8 @@ impl InjectableHeap for FlatHeap<'_> {
         }
     }
 
-    fn cell_mut(&mut self, i: usize, rank: usize) -> Option<&mut Value> {
+    /// Mutable access to the `rank`-th cell of entry `i`.
+    pub(crate) fn cell_mut(&mut self, i: usize, rank: usize) -> Option<&mut Value> {
         let e = self.entries.get(i)?;
         let slot = match &e.kind {
             FlatKind::Array { .. } => {
@@ -1875,7 +1875,7 @@ impl InjectableHeap for FlatHeap<'_> {
                     e.base as usize + off as usize
                 } else {
                     // Cold path: merge layout + overflow names in
-                    // string order (the legacy HashMap-key sort).
+                    // string order.
                     let mut cells: Vec<(&str, usize)> =
                         ci.lex_order
                             .iter()

@@ -17,8 +17,7 @@ use crate::bytecode::{compile, Module};
 use crate::driver::{compare_runs, RecoveryStats};
 use crate::inject::{InjectKind, Injector};
 use crate::input::InputProvider;
-use crate::interp::{ExecOptions, RunResult, RuntimeError};
-use crate::vm::{Prepared, Vm, VmSnapshot};
+use crate::vm::{ExecOptions, Prepared, RunResult, RuntimeError, Vm, VmSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sjava_syntax::ast::Program;
@@ -27,7 +26,7 @@ use std::time::Instant;
 /// What one trial injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrialKind {
-    /// Corrupt the value produced by one interpreter step.
+    /// Corrupt the value produced by one VM step.
     Op,
     /// Corrupt a pseudo-randomly chosen heap cell.
     HeapRandom,
@@ -59,12 +58,10 @@ impl TrialSpec {
 /// How the trial grid is enumerated.
 #[derive(Debug, Clone, Copy)]
 pub enum Grid {
-    /// `trials` seeds drawn exactly like [`bench`'s] `run_trial`: per
-    /// seed, trigger ~ U\[1, window·golden_steps) and the kind
-    /// alternates Op/Heap by seed parity. Keeps campaign output
-    /// comparable with the historical fig 6.1/6.2 pipeline.
-    ///
-    /// [`bench`'s]: https://crates.io/crates/sjava-bench
+    /// `trials` seeds: per seed, trigger ~ U\[1, window·golden_steps)
+    /// and the kind alternates Op/Heap by seed parity. The derivation is
+    /// fixed: the fig 6.1/6.2 histograms and the pinned
+    /// `mp3dec_trials.csv` reference depend on it.
     MonteCarlo,
     /// Exhaustive lattice: every live heap cell × `triggers` evenly
     /// spaced trigger steps (targeted-cell injection), plus `seeds` op
@@ -169,9 +166,8 @@ impl<'a> Campaign<'a> {
         match self.grid {
             Grid::MonteCarlo => (0..self.trials as u64)
                 .map(|seed| {
-                    // Bit-for-bit the derivation in `bench::run_trial`,
-                    // so campaign histograms match the historical
-                    // per-trial pipeline.
+                    // Bit-for-bit the historical per-trial pipeline's
+                    // derivation, so campaign histograms stay comparable.
                     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
                     let trigger = rng.gen_range(1..max_step);
                     let kind = if seed.is_multiple_of(2) {
@@ -426,7 +422,6 @@ impl RecoveryHistogram {
 mod tests {
     use super::*;
     use crate::input::ScriptedInput;
-    use crate::interp::Interpreter;
     use crate::value::Value;
     use sjava_syntax::parse;
 
@@ -441,16 +436,20 @@ mod tests {
     }
 
     #[test]
-    fn monte_carlo_matches_historical_per_trial_pipeline() {
+    fn monte_carlo_matches_per_trial_fresh_vms() {
         let p = parse(SRC).expect("parses");
         let mut c = Campaign::new(&p, ("A", "main"), 8);
         c.trials = 40;
         let out = c.run(inputs).expect("campaign");
-        // Replay each trial through the legacy interpreter pipeline:
-        // same trigger derivation, same stats, same fire step.
-        let golden = Interpreter::new(&p, inputs(), ExecOptions::default())
-            .run("A", "main", 8)
-            .expect("golden");
+        // Replay each trial on a fresh VM over fresh inputs: same
+        // trigger derivation, same stats, same fire step.
+        let module = compile(&p);
+        let fresh = |injector: Option<Injector>| {
+            let mut vm = Vm::new(&module, inputs(), ExecOptions::default());
+            vm.set_injector(injector);
+            vm.run("A", "main", 8).expect("runs")
+        };
+        let golden = fresh(None);
         assert_eq!(golden.iteration_outputs, out.golden.iteration_outputs);
         let max_step = ((golden.steps as f64) * c.inject_window).max(2.0) as u64;
         assert_eq!(out.trials.len(), 40);
@@ -462,10 +461,7 @@ mod tests {
             } else {
                 InjectKind::Heap
             };
-            let run = Interpreter::new(&p, inputs(), ExecOptions::default())
-                .with_injector(Injector::with_kind(t.seed, t.trigger, kind))
-                .run("A", "main", 8)
-                .expect("trial");
+            let run = fresh(Some(Injector::with_kind(t.seed, t.trigger, kind)));
             let stats = compare_runs(&golden.iteration_outputs, &run.iteration_outputs, 0.0);
             assert_eq!(stats, t.stats, "seed {}", t.seed);
             assert_eq!(run.injected_at, t.injected_at, "seed {}", t.seed);

@@ -29,7 +29,7 @@ pub struct RecoveryStats {
 
 /// Tolerance-aware value comparison: floats within `eps` are equal (the
 /// decoder pipeline is float-heavy and bit-exact equality is what we get
-/// from a deterministic interpreter, so `eps = 0.0` is also valid).
+/// from the deterministic VM, so `eps = 0.0` is also valid).
 fn value_eq(a: &Value, b: &Value, eps: f64) -> bool {
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => {

@@ -1,12 +1,13 @@
 //! Error injection (§6.2): "randomly selects memory and mathematical
 //! operations, and replaces the original value with a random value".
 //!
-//! The interpreter counts *steps* — one per value written and one per
-//! arithmetic operation. An [`Injector`] fires at a chosen step, replacing
-//! that step's value with a random one of the same Java type (type safety
-//! is preserved, per the paper's error model §1.1.2).
+//! The VM counts *steps* — one per value written and one per arithmetic
+//! operation. An [`Injector`] fires at a chosen step, replacing that
+//! step's value with a random one of the same Java type (type safety is
+//! preserved, per the paper's error model §1.1.2).
 
-use crate::value::{Heap, HeapEntry, ObjId, Value};
+use crate::bytecode::FlatHeap;
+use crate::value::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,25 +21,6 @@ pub enum InjectKind {
     /// value, in which case the outputs never change, matching the
     /// paper's 534/1,000 non-corrupting trials.
     Heap,
-}
-
-/// A heap that error injection can scribble on.
-///
-/// Cells are addressed by their *rank* in a fixed total order that both
-/// heap representations agree on: every array entry first (ascending
-/// allocation index, elements ordered by the decimal string of their
-/// index — `"10" < "2"`), then every object entry (ascending index,
-/// fields ordered by name). This is exactly the order the legacy
-/// `Heap::cells_mut` sort produced, so seeded injections pick the same
-/// cell on the tree-walker's `HashMap` heap and the VM's flat heap.
-pub trait InjectableHeap {
-    /// Number of allocated entries.
-    fn entry_count(&self) -> usize;
-    /// `(is_array, cell_count)` for entry `i`.
-    fn entry_cells(&self, i: usize) -> (bool, usize);
-    /// Mutable access to the `rank`-th cell (in the order above) of
-    /// entry `i`.
-    fn cell_mut(&mut self, i: usize, rank: usize) -> Option<&mut Value>;
 }
 
 /// The index in `0..n` whose decimal string is `rank`-th in
@@ -75,37 +57,6 @@ fn cmp_decimal(a: usize, b: usize) -> std::cmp::Ordering {
     let (mut ba, mut bb) = ([0u8; 20], [0u8; 20]);
     let (ia, ib) = (digits(&mut ba, a), digits(&mut bb, b));
     ba[ia..].cmp(&bb[ib..])
-}
-
-impl InjectableHeap for Heap {
-    fn entry_count(&self) -> usize {
-        self.len()
-    }
-
-    fn entry_cells(&self, i: usize) -> (bool, usize) {
-        match self.get(ObjId(i)) {
-            Some(HeapEntry::Array { data, .. }) => (true, data.len()),
-            Some(HeapEntry::Object { fields, .. }) => (false, fields.len()),
-            None => (false, 0),
-        }
-    }
-
-    fn cell_mut(&mut self, i: usize, rank: usize) -> Option<&mut Value> {
-        match self.get_mut(ObjId(i))? {
-            HeapEntry::Array { data, .. } => {
-                let ix = lex_nth_index(data.len(), rank)?;
-                data.get_mut(ix)
-            }
-            HeapEntry::Object { fields, .. } => {
-                let name = {
-                    let mut names: Vec<&String> = fields.keys().collect();
-                    names.sort_unstable();
-                    names.get(rank)?.as_str().to_owned()
-                };
-                fields.get_mut(&name)
-            }
-        }
-    }
 }
 
 /// An error injector firing at one or more chosen steps.
@@ -205,7 +156,16 @@ impl Injector {
 
     /// Possibly scribbles over one heap cell at `step`, mutating it in
     /// place (no key materialization, no value clones).
-    pub fn corrupt_heap<H: InjectableHeap>(&mut self, step: u64, heap: &mut H) {
+    ///
+    /// Cells are addressed by their *rank* in a fixed total order: every
+    /// array entry first (ascending allocation index, elements ordered by
+    /// the decimal string of their index, so `"10" < "2"`), then every
+    /// object entry (ascending index, fields ordered by name). The
+    /// string order of array indices dates from a heap keyed by strings;
+    /// it stays because seeded campaign histograms and
+    /// `perfbench/ref/mp3dec_trials.csv` depend on which cell each seed
+    /// hits.
+    pub fn corrupt_heap(&mut self, step: u64, heap: &mut FlatHeap<'_>) {
         if self.kind != InjectKind::Heap || !self.due(step) {
             return;
         }
@@ -222,7 +182,7 @@ impl Injector {
             None => self.rng.gen_range(0..total),
         };
         // Resolve the global rank: arrays first, then objects, each in
-        // ascending entry order (see `InjectableHeap`).
+        // ascending entry order.
         let mut k = pick;
         let mut found = None;
         'outer: for want_array in [true, false] {
@@ -306,130 +266,143 @@ mod tests {
 #[cfg(test)]
 mod heap_tests {
     use super::*;
-    use sjava_syntax::ast::Type;
-    use std::collections::HashMap;
+    use crate::bytecode::{compile, Module};
+
+    /// A cell address: `(entry, index)` of an array element or
+    /// `(entry, name)` of an object field.
+    enum Cell {
+        Elem(usize, usize),
+        Field(usize, &'static str),
+    }
+
+    fn module() -> Module {
+        compile(
+            &sjava_syntax::parse(
+                "class A { int beta; int alpha; } class B { boolean z; } class C { int b; int a; }",
+            )
+            .expect("parses"),
+        )
+    }
+
+    fn object(heap: &mut FlatHeap<'_>, m: &Module, class: &str) -> usize {
+        heap.alloc_object(m.class_id(class).expect("class"))
+    }
+
+    fn read(heap: &FlatHeap<'_>, m: &Module, cell: &Cell) -> Value {
+        match *cell {
+            Cell::Elem(e, i) => heap.array_get(e, i),
+            Cell::Field(e, f) => heap.read_field(e, m.name_id(f).expect("field")),
+        }
+        .expect("cell exists")
+        .clone()
+    }
+
+    /// Positions in `order` whose cell differs between the two heaps.
+    fn changed(a: &FlatHeap<'_>, b: &FlatHeap<'_>, m: &Module, order: &[Cell]) -> Vec<usize> {
+        (0..order.len())
+            .filter(|&i| read(a, m, &order[i]) != read(b, m, &order[i]))
+            .collect()
+    }
 
     #[test]
     fn heap_injection_corrupts_one_cell() {
-        let mut heap = Heap::new();
-        let id = heap.alloc_object("A", HashMap::from([("x".to_string(), Value::Int(7))]));
+        let m = module();
+        let mut heap = FlatHeap::new(&m);
+        let id = object(&mut heap, &m, "C");
+        let fields = [m.name_id("a").expect("a"), m.name_id("b").expect("b")];
+        for f in fields {
+            heap.write_field(id, f, Value::Int(7));
+        }
+        let values = |heap: &FlatHeap<'_>| fields.map(|f| heap.read_field(id, f).cloned());
         let mut inj = Injector::with_kind(3, 5, InjectKind::Heap);
         inj.corrupt_heap(4, &mut heap);
-        assert_eq!(heap.read_field(id, "x"), Some(Value::Int(7)));
+        assert_eq!(values(&heap), [Some(Value::Int(7)), Some(Value::Int(7))]);
         inj.corrupt_heap(5, &mut heap);
         assert_eq!(inj.fired_at, Some(5));
-        assert_ne!(heap.read_field(id, "x"), Some(Value::Int(7)));
+        let after = values(&heap);
+        let hit = after.iter().filter(|v| **v != Some(Value::Int(7))).count();
+        assert_eq!(hit, 1, "{after:?}");
         // Fires once only.
-        let after = heap.read_field(id, "x");
         inj.corrupt_heap(5, &mut heap);
-        assert_eq!(heap.read_field(id, "x"), after);
+        assert_eq!(values(&heap), after);
     }
 
     #[test]
     fn op_injector_never_touches_heap() {
-        let mut heap = Heap::new();
-        heap.alloc_object("A", HashMap::from([("x".to_string(), Value::Int(7))]));
+        let m = module();
+        let mut heap = FlatHeap::new(&m);
+        object(&mut heap, &m, "C");
         let mut inj = Injector::new(3, 5);
         inj.corrupt_heap(5, &mut heap);
         assert_eq!(inj.fired_at, None);
     }
 
     #[test]
-    fn rank_selection_matches_legacy_cells_mut_order() {
+    fn rank_selection_follows_the_fixed_cell_order() {
         // Mixed heap exercising every ordering rule: arrays before
         // objects, entries ascending, array indices in decimal-string
         // order, object fields in name order.
+        let m = module();
         let build = || {
-            let mut heap = Heap::new();
-            heap.alloc_object(
-                "A",
-                HashMap::from([
-                    ("beta".to_string(), Value::Int(1)),
-                    ("alpha".to_string(), Value::Int(2)),
-                ]),
-            );
-            heap.alloc_array(Type::Int, 12);
-            heap.alloc_array(Type::Float, 3);
-            heap.alloc_object("B", HashMap::from([("z".to_string(), Value::Bool(true))]));
+            let mut heap = FlatHeap::new(&m);
+            object(&mut heap, &m, "A");
+            heap.alloc_array(&Value::Int(0), 12);
+            heap.alloc_array(&Value::Float(0.0), 3);
+            object(&mut heap, &m, "B");
             heap
         };
+        let mut order: Vec<Cell> = [0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9]
+            .into_iter()
+            .map(|i| Cell::Elem(1, i))
+            .collect();
+        order.extend((0..3).map(|i| Cell::Elem(2, i)));
+        order.extend([
+            Cell::Field(0, "alpha"),
+            Cell::Field(0, "beta"),
+            Cell::Field(3, "z"),
+        ]);
+        let reference = build();
         for seed in 0..64u64 {
-            // Legacy selection: sort all (kind, entry, key) descriptors
-            // and index with the same single RNG draw.
-            let mut legacy = build();
-            let cells = legacy.cells_mut();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (_, entry, key) = cells[rng.gen_range(0..cells.len())].clone();
-            let mut inj = Injector::with_kind(seed, 1, InjectKind::Heap);
+            // The same single RNG draw picks the rank.
+            let pick = StdRng::seed_from_u64(seed).gen_range(0..order.len());
             let mut heap = build();
-            inj.corrupt_heap(1, &mut heap);
-            // Exactly the legacy-chosen cell changed (Bool always flips,
-            // Int/Float redraws land outside the tiny initial values).
-            let (reference, corrupted) = (build(), heap);
-            for i in 0..reference.entry_count() {
-                match (
-                    reference.get(ObjId(i)).unwrap(),
-                    corrupted.get(ObjId(i)).unwrap(),
-                ) {
-                    (HeapEntry::Object { fields: a, .. }, HeapEntry::Object { fields: b, .. }) => {
-                        for (k, va) in a {
-                            let changed = b.get(k) != Some(va);
-                            assert_eq!(changed, i == entry && *k == key, "seed {seed}");
-                        }
-                    }
-                    (HeapEntry::Array { data: a, .. }, HeapEntry::Array { data: b, .. }) => {
-                        for (j, va) in a.iter().enumerate() {
-                            let changed = b[j] != *va;
-                            assert_eq!(changed, i == entry && j.to_string() == key, "seed {seed}");
-                        }
-                    }
-                    _ => panic!("entry kind changed"),
-                }
-            }
+            Injector::with_kind(seed, 1, InjectKind::Heap).corrupt_heap(1, &mut heap);
+            // Exactly the picked cell changed (Bool always flips,
+            // Int/Float redraws land away from the zero defaults).
+            assert_eq!(
+                changed(&reference, &heap, &m, &order),
+                vec![pick],
+                "seed {seed}"
+            );
         }
     }
 
     #[test]
     fn targeted_cell_sweeps_every_slot() {
         // Rank r must hit the r-th cell in the fixed order; ranks wrap.
+        let m = module();
         let build = || {
-            let mut heap = Heap::new();
-            heap.alloc_object(
-                "A",
-                HashMap::from([
-                    ("b".to_string(), Value::Int(5)),
-                    ("a".to_string(), Value::Int(6)),
-                ]),
-            );
-            heap.alloc_array(Type::Int, 2);
+            let mut heap = FlatHeap::new(&m);
+            object(&mut heap, &m, "C");
+            heap.alloc_array(&Value::Int(0), 2);
             heap
         };
-        // Order: arr[0], arr[1], A.a, A.b — then wrap.
-        for (rank, expect_same) in [(0, 1), (1, 0), (2, 3), (3, 2), (4, 1)] {
+        // Order: arr[0], arr[1], C.a, C.b — then wrap.
+        let order = [
+            Cell::Elem(1, 0),
+            Cell::Elem(1, 1),
+            Cell::Field(0, "a"),
+            Cell::Field(0, "b"),
+        ];
+        let reference = build();
+        for rank in 0..5 {
             let mut heap = build();
-            let mut inj = Injector::targeted_cell(9, 1, rank);
-            inj.corrupt_heap(1, &mut heap);
-            let r = build();
-            let mut changed = Vec::new();
-            if let (
-                Some(HeapEntry::Array { data: a, .. }),
-                Some(HeapEntry::Array { data: b, .. }),
-            ) = (r.get(ObjId(1)), heap.get(ObjId(1)))
-            {
-                for j in 0..a.len() {
-                    if a[j] != b[j] {
-                        changed.push(j);
-                    }
-                }
-            }
-            for f in ["a", "b"] {
-                if r.read_field(ObjId(0), f) != heap.read_field(ObjId(0), f) {
-                    changed.push(2 + (f == "b") as usize);
-                }
-            }
-            assert_eq!(changed.len(), 1, "rank {rank}");
-            assert_ne!(changed[0], expect_same, "rank {rank}");
-            assert_eq!(changed[0], rank % 4, "rank {rank}");
+            Injector::targeted_cell(9, 1, rank).corrupt_heap(1, &mut heap);
+            assert_eq!(
+                changed(&reference, &heap, &m, &order),
+                vec![rank % 4],
+                "rank {rank}"
+            );
         }
     }
 }

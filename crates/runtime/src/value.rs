@@ -1,9 +1,7 @@
-//! Runtime values, the heap, and the shared semantic kernels for
-//! operators and intrinsics (used by both the tree-walking
-//! interpreter and the bytecode VM so the two engines cannot drift).
+//! Runtime values and the semantic kernels for operators and
+//! intrinsics.
 
 use sjava_syntax::ast::{BinOp, Type};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a heap object.
@@ -88,9 +86,8 @@ impl SoftFail {
     }
 }
 
-/// Applies a binary operator to two values. This is the single source
-/// of truth for operator semantics — the interpreter and the VM both
-/// delegate here and only differ in how they report the `SoftFail`.
+/// Applies a binary operator to two values: the single source of truth
+/// for operator semantics.
 pub(crate) fn binop_values(op: BinOp, l: &Value, r: &Value) -> Result<Value, SoftFail> {
     use BinOp::*;
     // String concatenation.
@@ -174,7 +171,6 @@ pub(crate) fn binop_values(op: BinOp, l: &Value, r: &Value) -> Result<Value, Sof
 }
 
 /// Evaluates a `Math.*` intrinsic over already-evaluated arguments.
-/// Shared by interpreter and VM (see [`binop_values`]).
 pub(crate) fn math_values(name: &str, vals: &[Value]) -> Result<Value, SoftFail> {
     let f = |v: &Value| v.as_f64().unwrap_or(0.0);
     Ok(match (name, vals) {
@@ -218,153 +214,9 @@ impl fmt::Display for Value {
     }
 }
 
-/// A heap entry: an object with named fields, or an array.
-#[derive(Debug, Clone)]
-pub enum HeapEntry {
-    /// A class instance.
-    Object {
-        /// Runtime class name (for dynamic dispatch).
-        class: String,
-        /// Field values.
-        fields: HashMap<String, Value>,
-    },
-    /// An array of values.
-    Array {
-        /// Element type (for default values).
-        elem: Type,
-        /// Contents.
-        data: Vec<Value>,
-    },
-}
-
-/// The interpreter heap: a growable arena of entries.
-#[derive(Debug, Clone, Default)]
-pub struct Heap {
-    entries: Vec<HeapEntry>,
-}
-
-impl Heap {
-    /// An empty heap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of allocated entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the heap is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Allocates an object with the given fields.
-    pub fn alloc_object(&mut self, class: &str, fields: HashMap<String, Value>) -> ObjId {
-        self.entries.push(HeapEntry::Object {
-            class: class.to_string(),
-            fields,
-        });
-        ObjId(self.entries.len() - 1)
-    }
-
-    /// Allocates an array of `len` default-initialized elements.
-    pub fn alloc_array(&mut self, elem: Type, len: usize) -> ObjId {
-        let v = Value::default_for(&elem);
-        self.entries.push(HeapEntry::Array {
-            elem,
-            data: vec![v; len],
-        });
-        ObjId(self.entries.len() - 1)
-    }
-
-    /// Immutable access to an entry.
-    pub fn get(&self, id: ObjId) -> Option<&HeapEntry> {
-        self.entries.get(id.0)
-    }
-
-    /// Mutable access to an entry.
-    pub fn get_mut(&mut self, id: ObjId) -> Option<&mut HeapEntry> {
-        self.entries.get_mut(id.0)
-    }
-
-    /// Reads a field of an object.
-    pub fn read_field(&self, id: ObjId, field: &str) -> Option<Value> {
-        match self.get(id)? {
-            HeapEntry::Object { fields, .. } => fields.get(field).cloned(),
-            HeapEntry::Array { .. } => None,
-        }
-    }
-
-    /// Writes a field of an object.
-    pub fn write_field(&mut self, id: ObjId, field: &str, value: Value) -> bool {
-        match self.get_mut(id) {
-            Some(HeapEntry::Object { fields, .. }) => {
-                fields.insert(field.to_string(), value);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The dynamic class of an object.
-    pub fn class_of(&self, id: ObjId) -> Option<&str> {
-        match self.get(id)? {
-            HeapEntry::Object { class, .. } => Some(class),
-            HeapEntry::Array { .. } => None,
-        }
-    }
-
-    /// Iterates over every mutable cell in the heap (for error injection).
-    pub fn cells_mut(&mut self) -> Vec<(&'static str, usize, String)> {
-        // Returns (kind, entry index, field-or-index key) descriptors.
-        let mut out = Vec::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            match e {
-                HeapEntry::Object { fields, .. } => {
-                    for k in fields.keys() {
-                        out.push(("field", i, k.clone()));
-                    }
-                }
-                HeapEntry::Array { data, .. } => {
-                    for j in 0..data.len() {
-                        out.push(("elem", i, j.to_string()));
-                    }
-                }
-            }
-        }
-        // `fields` is a HashMap, so the raw order varies per RandomState
-        // (i.e. per process and per allocating thread). Seeded injection
-        // must pick the same cell for the same seed everywhere, so fix a
-        // total order before anyone indexes into this.
-        out.sort_unstable();
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn object_round_trip() {
-        let mut h = Heap::new();
-        let id = h.alloc_object("A", HashMap::from([("x".to_string(), Value::Int(3))]));
-        assert_eq!(h.read_field(id, "x"), Some(Value::Int(3)));
-        assert!(h.write_field(id, "x", Value::Int(7)));
-        assert_eq!(h.read_field(id, "x"), Some(Value::Int(7)));
-        assert_eq!(h.class_of(id), Some("A"));
-    }
-
-    #[test]
-    fn array_defaults() {
-        let mut h = Heap::new();
-        let id = h.alloc_array(Type::Float, 3);
-        let HeapEntry::Array { data, .. } = h.get(id).expect("entry") else {
-            panic!()
-        };
-        assert_eq!(data, &vec![Value::Float(0.0); 3]);
-    }
 
     #[test]
     fn default_values_match_types() {

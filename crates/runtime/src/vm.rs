@@ -1,17 +1,23 @@
-//! Register-bytecode dispatch loop.
+//! Register-bytecode dispatch loop: the runtime's one execution
+//! engine.
 //!
-//! Executes [`crate::bytecode::Module`]s with *exactly* the observable
-//! semantics of [`crate::interp::Interpreter`]: the same §4.4
-//! crash-avoidance behaviour (soft errors log-and-default in ignore
-//! mode, the event loop catches hard body errors), the same step
-//! counting, and — with the same seeded [`Injector`] — the same
-//! corruptions of the same cells. Output traces are byte-identical to
-//! the tree-walker (enforced by the differential tests and the
-//! `bench_vm --gate` CI step).
+//! Executes [`crate::bytecode::Module`]s with the paper's §4.4
+//! crash-avoidance semantics. In *ignore-errors* mode (the paper's
+//! code-generation option) failing operations get defined behaviour: a
+//! null-pointer dereference yields the field type's default,
+//! out-of-bounds reads yield defaults, out-of-bounds writes are dropped
+//! and division by zero yields zero, each logged; a hard error inside an
+//! event-loop body aborts only that iteration. In strict mode the same
+//! events abort execution with a [`RuntimeError`].
 //!
-//! Unlike the interpreter, a `Vm` is built once per compiled module and
-//! reused across runs: [`Vm::run`] resets the flat heap and register
-//! file in place, and campaigns go further with
+//! The VM counts *steps* (one per value written and one per arithmetic
+//! operation) and gives a seeded [`Injector`] its chance at every step.
+//! Output traces of the paper apps and the stress corpus are pinned by
+//! the trace fixtures of `crates/bench/tests/vm_equiv.rs`.
+//!
+//! A `Vm` is built once per compiled module and reused across runs:
+//! [`Vm::run`] resets the flat heap and register file in place, and
+//! campaigns go further with
 //! [`Vm::prepare`]/[`Vm::snapshot`]/[`Vm::restore`]/[`Vm::resume`] to
 //! skip re-instantiating the entry object on every trial.
 
@@ -19,8 +25,62 @@ use crate::bytecode::{FlatHeap, FlatHeapSnapshot};
 use crate::bytecode::{Module, Op, StoreFallback, VarFallback};
 use crate::inject::Injector;
 use crate::input::InputProvider;
-use crate::interp::{ExecOptions, RunResult, RuntimeError};
 use crate::value::{ObjId, Value};
+use std::fmt;
+
+/// A runtime failure (strict mode, or a hard error outside the event
+/// loop body).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RuntimeError {
+    /// Human-readable description.
+    pub message: String,
+}
+
+impl fmt::Display for RuntimeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.message)
+    }
+}
+
+impl std::error::Error for RuntimeError {}
+
+/// Execution options.
+#[derive(Debug, Clone)]
+pub struct ExecOptions {
+    /// §4.4 crash avoidance: log-and-continue on errors.
+    pub ignore_errors: bool,
+    /// Per-iteration step budget (guards runaway inner loops).
+    pub max_steps_per_iter: u64,
+}
+
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            ignore_errors: true,
+            max_steps_per_iter: 50_000_000,
+        }
+    }
+}
+
+/// Result of executing an event loop for a number of iterations.
+#[derive(Debug, Clone)]
+pub struct RunResult {
+    /// `Out.*` values grouped by event-loop iteration.
+    pub iteration_outputs: Vec<Vec<Value>>,
+    /// Total steps executed (writes + arithmetic ops).
+    pub steps: u64,
+    /// Crash-avoidance log entries.
+    pub error_log: Vec<String>,
+    /// The step at which the injector fired, if any.
+    pub injected_at: Option<u64>,
+}
+
+impl RunResult {
+    /// All outputs flattened in order.
+    pub fn outputs(&self) -> Vec<Value> {
+        self.iteration_outputs.iter().flatten().cloned().collect()
+    }
+}
 
 /// Why the dispatch loop stopped executing ops.
 enum OpStop {
@@ -47,7 +107,7 @@ struct VmFrame {
     this: Option<usize>,
     iterations_left: usize,
     /// Field/static-initializer frames: an event loop unwinding
-    /// through one is the interpreter's `unreachable!` panic.
+    /// through one is an `unreachable!` panic.
     init: bool,
 }
 
@@ -95,8 +155,8 @@ pub struct VmSnapshot<I> {
     inputs: I,
 }
 
-/// The bytecode virtual machine. Generic over the input provider, like
-/// the interpreter; borrows the compiled [`Module`].
+/// The bytecode virtual machine. Generic over the input provider;
+/// borrows the compiled [`Module`].
 pub struct Vm<'m, I: InputProvider> {
     module: &'m Module,
     options: ExecOptions,
@@ -137,8 +197,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
         }
     }
 
-    /// Arms an error injector for the next run (builder style, matching
-    /// [`crate::interp::Interpreter::with_injector`]).
+    /// Arms an error injector for the next run (builder style).
     pub fn with_injector(mut self, injector: Injector) -> Self {
         self.injector = Some(injector);
         self
@@ -154,9 +213,8 @@ impl<'m, I: InputProvider> Vm<'m, I> {
         self.inputs = inputs;
     }
 
-    /// Runs `class.method` for at most `iterations` event-loop
-    /// iterations — same contract and same results as
-    /// [`crate::interp::Interpreter::run`], but reusing this VM's
+    /// Runs `class.method` (instantiating `class`) for at most
+    /// `iterations` event-loop iterations, reusing this VM's
     /// allocations.
     ///
     /// # Errors
@@ -293,9 +351,8 @@ impl<'m, I: InputProvider> Vm<'m, I> {
     }
 
     fn start_entry(&mut self, prep: &Prepared, iterations: usize) {
-        // The interpreter's entry frame: `this` bound to the fresh
-        // instance and the queried class as context even for static
-        // entry methods.
+        // The entry frame: `this` bound to the fresh instance and the
+        // queried class as context even for static entry methods.
         self.push_frame(prep.entry, Some(prep.obj), 0, None, iterations, false);
     }
 
@@ -345,7 +402,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
     }
 
     /// Counts one step: budget check, then the injector's chance to
-    /// corrupt the heap and/or this value (the interpreter's `step`).
+    /// corrupt the heap and/or this value.
     fn step(&mut self, v: Value) -> Result<Value, OpStop> {
         self.steps += 1;
         if self.steps - self.iter_start_step > self.options.max_steps_per_iter {
@@ -378,9 +435,8 @@ impl<'m, I: InputProvider> Vm<'m, I> {
             match self.exec_next() {
                 Ok(()) => {}
                 Err(OpStop::LoopDone) => {
-                    // The interpreter's `instantiate`/`static_value`
-                    // hit `unreachable!` when a LoopDone unwinds into
-                    // an initializer.
+                    // Initializers contain no event loop, so a
+                    // LoopDone can never unwind into one.
                     if self.frames.iter().any(|f| f.init) {
                         unreachable!("no loop in initializer");
                     }
@@ -655,7 +711,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
             Op::StoreStatic { slot, src } => {
                 // Unconditional, declaration or not — a later read of
                 // an undeclared static then succeeds from the cache,
-                // exactly like the interpreter's `statics` map.
+                // like a plain static map.
                 self.statics[slot as usize] = Some(self.regs[r(src)].clone());
             }
             Op::CallDirect {
@@ -685,8 +741,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
                 match self.regs[r(recv)] {
                     Value::Ref(ObjId(id)) => {
                         // Arrays have no class: dispatch falls back to
-                        // the caller's context class, like the
-                        // interpreter.
+                        // the caller's context class.
                         let dyn_cid = self.heap.obj_class(id).unwrap_or(chunk.ctx);
                         let ci = &module.classes[dyn_cid as usize];
                         match ci.vtable.binary_search_by_key(&name, |&(n, _)| n) {
@@ -841,8 +896,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
         Ok(())
     }
 
-    /// Reads an undefined local via its compile-time fallback (the
-    /// interpreter's `Expr::Var` miss path).
+    /// Reads an undefined local via its compile-time fallback.
     fn load_fallback(&mut self, fb: u32, this: Option<usize>, dst: usize) -> Result<(), OpStop> {
         match &self.module.var_fbs[fb as usize] {
             VarFallback::Unbound { msg } => {
@@ -891,7 +945,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
     }
 
     /// Reads a static slot, scheduling its lazy initializer chunk when
-    /// uncached (the interpreter's `static_value`).
+    /// uncached.
     fn load_static(&mut self, slot: u32, dst: usize) -> Result<(), OpStop> {
         if let Some(v) = &self.statics[slot as usize] {
             self.regs[dst] = v.clone();
@@ -910,14 +964,14 @@ impl<'m, I: InputProvider> Vm<'m, I> {
                 self.regs[dst] = d;
                 Ok(())
             }
-            // Hard error in both modes, like the interpreter.
+            // Hard error in both modes.
             (None, None) => Err(stop(self.module.msgs[s.err as usize].clone())),
         }
     }
 
     /// The default for a missing dynamic field read: the first
     /// chain-matching declaration's type default when that match is
-    /// static, else null (the interpreter's `field_default`).
+    /// static, else null.
     fn field_miss_default(&self, id: usize, name: u32) -> Value {
         match self.heap.obj_class(id) {
             Some(cid) => {
@@ -939,12 +993,15 @@ mod tests {
     use crate::bytecode::compile;
     use crate::inject::InjectKind;
     use crate::input::ScriptedInput;
-    use crate::interp::Interpreter;
     use sjava_syntax::parse;
 
-    /// Runs both engines and demands byte-identical Debug renderings of
-    /// the full result (outputs, steps, error log, injection step, or
-    /// the error) — the differential oracle for everything below.
+    /// Runs `src` twice on one VM and demands byte-identical Debug
+    /// renderings of the full result (outputs, steps, error log,
+    /// injection step, or the error): the first run is a fresh VM, the
+    /// second must reset every piece of machine state to match it.
+    /// `pinned` is the FNV-64 of that rendering as the tree-walking
+    /// interpreter the VM replaced produced it, while both engines agreed
+    /// byte for byte; the VM must keep reproducing it.
     fn diff_with(
         src: &str,
         entry: (&str, &str),
@@ -952,28 +1009,32 @@ mod tests {
         iters: usize,
         opts: &ExecOptions,
         inj: Option<(u64, u64, InjectKind)>,
+        pinned: &str,
     ) -> Result<RunResult, RuntimeError> {
         let p = parse(src).expect("parses");
-        let mut interp = Interpreter::new(&p, inputs.clone(), opts.clone());
-        if let Some((s, t, k)) = inj {
-            interp = interp.with_injector(Injector::with_kind(s, t, k));
-        }
-        let a = interp.run(entry.0, entry.1, iters);
         let module = compile(&p);
         let mut vm = Vm::new(&module, inputs.clone(), opts.clone());
-        if let Some((s, t, k)) = inj {
-            vm.set_injector(Some(Injector::with_kind(s, t, k)));
-        }
-        let b = vm.run(entry.0, entry.1, iters);
+        let mut run = || {
+            vm.set_inputs(inputs.clone());
+            vm.set_injector(inj.map(|(s, t, k)| Injector::with_kind(s, t, k)));
+            vm.run(entry.0, entry.1, iters)
+        };
+        let fresh = run();
+        let reused = run();
         assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "tree-walker and VM diverged on:\n{src}"
+            format!("{fresh:?}"),
+            format!("{reused:?}"),
+            "a reused VM diverged from a fresh one on:\n{src}"
         );
-        b
+        assert_eq!(
+            format!("{:016x}", sjava_lattice::hash_debug(&fresh)),
+            pinned,
+            "the VM diverged from the pinned trace of {inj:?} on:\n{src}\n{fresh:?}"
+        );
+        fresh
     }
 
-    fn diff(src: &str, inputs: ScriptedInput, iters: usize) -> RunResult {
+    fn diff(src: &str, inputs: ScriptedInput, iters: usize, pinned: &str) -> RunResult {
         diff_with(
             src,
             ("A", "main"),
@@ -981,6 +1042,7 @@ mod tests {
             iters,
             &ExecOptions::default(),
             None,
+            pinned,
         )
         .expect("runs")
     }
@@ -994,6 +1056,7 @@ mod tests {
             } } }",
             ScriptedInput::new().channel("read", vec![Value::Int(1), Value::Int(2), Value::Int(3)]),
             3,
+            "81b75d03707d30ad",
         );
         assert_eq!(
             r.outputs(),
@@ -1011,6 +1074,7 @@ mod tests {
             } } }",
             ScriptedInput::new().channel("read", vec![Value::Int(5), Value::Int(7)]),
             3,
+            "14d3b95d809ae18f",
         );
         assert_eq!(
             r.outputs(),
@@ -1028,6 +1092,7 @@ mod tests {
              class R { int v; void set(int x) { v = x + 1; } int get() { return v; } }",
             ScriptedInput::new().channel("read", vec![Value::Int(10)]),
             1,
+            "a8fd09e837dfb138",
         );
         assert_eq!(r.outputs(), vec![Value::Int(11)]);
     }
@@ -1051,6 +1116,7 @@ mod tests {
                 ],
             ),
             1,
+            "8efaed3a46294a09",
         );
         assert_eq!(r.outputs(), vec![Value::Float(10.0)]);
     }
@@ -1064,6 +1130,11 @@ mod tests {
             } } }",
             ScriptedInput::new().channel("read", vec![Value::Int(1), Value::Int(2)]),
             2,
+            "78fc92606bc72bc3",
+        );
+        assert_eq!(
+            r.iteration_outputs[0],
+            vec![Value::Int(0), Value::Int(0), Value::Int(1)]
         );
         assert_eq!(
             r.iteration_outputs[1],
@@ -1080,7 +1151,10 @@ mod tests {
              class R { int v; }",
             ScriptedInput::new(),
             2,
+            "ac8393c9faabd48c",
         );
+        // Null field read yields null (logged); program keeps running.
+        assert_eq!(r.iteration_outputs.len(), 2);
         assert!(!r.error_log.is_empty());
     }
 
@@ -1098,6 +1172,7 @@ mod tests {
             1,
             &opts,
             None,
+            "1a65ba52879625c2",
         );
         assert!(r.is_err());
     }
@@ -1111,6 +1186,7 @@ mod tests {
             } } }",
             ScriptedInput::new().channel("read", vec![Value::Int(0), Value::Int(4)]),
             2,
+            "fb9da77cb3e131b3",
         );
         assert_eq!(r.outputs(), vec![Value::Int(0), Value::Int(25)]);
     }
@@ -1126,6 +1202,7 @@ mod tests {
             } } }",
             ScriptedInput::new(),
             1,
+            "71742ed95d936047",
         );
         assert_eq!(r.outputs(), vec![Value::Int(5)]);
     }
@@ -1140,6 +1217,7 @@ mod tests {
              class C extends B { int f() { return 2; } }",
             ScriptedInput::new(),
             1,
+            "2175eb7de855e2e7",
         );
         assert_eq!(r.outputs(), vec![Value::Int(2)]);
     }
@@ -1160,6 +1238,7 @@ mod tests {
              }",
             ScriptedInput::new(),
             3,
+            "35de3d79028bb23c",
         );
     }
 
@@ -1176,6 +1255,7 @@ mod tests {
             } } }",
             ScriptedInput::new().channel("read", vec![Value::Int(5), Value::Int(0)]),
             2,
+            "2c10125d76f3ea13",
         );
     }
 
@@ -1193,6 +1273,7 @@ mod tests {
             } } }",
             ScriptedInput::new(),
             2,
+            "21164322eb32f9e9",
         );
     }
 
@@ -1214,13 +1295,14 @@ mod tests {
              class R { }",
             ScriptedInput::new(),
             2,
+            "ed2bc72b9038229b",
         );
     }
 
     #[test]
     fn event_loop_catches_body_errors() {
         // Strict-hard error inside the body: iteration aborts, loop
-        // continues (§4.4) — identical logs in both engines.
+        // continues (§4.4).
         let r = diff(
             "class A { void main() { SSJAVA: while (true) {
                 int x = Device.read();
@@ -1230,6 +1312,7 @@ mod tests {
              class C { }",
             ScriptedInput::new().channel("read", vec![Value::Int(1)]),
             3,
+            "5539538af5405009",
         );
         assert_eq!(r.iteration_outputs.len(), 3);
         assert!(r.error_log.iter().any(|e| e.contains("iteration aborted")));
@@ -1247,11 +1330,12 @@ mod tests {
              }",
             ScriptedInput::new(),
             1,
+            "575aa91751dbaaef",
         );
     }
 
     #[test]
-    fn injection_matches_tree_walker_both_kinds() {
+    fn injection_is_reproducible_both_kinds() {
         let src = "class A { int prev; int[] h; void main() { h = new int[4];
             SSJAVA: while (true) {
                 int x = Device.read();
@@ -1260,6 +1344,7 @@ mod tests {
                 prev = x;
             } } }";
         let inputs = ScriptedInput::new().channel("read", vec![Value::Int(3), Value::Int(4)]);
+        let mut pinned = GRID_TRACES.split_whitespace();
         for seed in 0..24u64 {
             for trigger in [1, 2, 5, 9, 17, 33] {
                 let kind = if seed % 2 == 0 {
@@ -1274,11 +1359,73 @@ mod tests {
                     6,
                     &ExecOptions::default(),
                     Some((seed, trigger, kind)),
+                    pinned.next().expect("a pinned trace per run"),
                 )
                 .expect("runs");
-                drop(r);
+                assert_eq!(r.injected_at, Some(trigger), "seed {seed}");
             }
         }
+        assert_eq!(pinned.next(), None, "every pinned trace is checked");
+    }
+
+    /// Pinned traces of `injection_is_reproducible_both_kinds`: one row
+    /// per seed, one column per trigger.
+    const GRID_TRACES: &str = "
+        c7446a8b4d14b207 133e691efb44f817 39a880fb9e40e9a5 06a451811efd5493 da16a6d1c4794658 e1d3d56b275f3f09
+        c7446a8b4d14b207 afe6835f288b84aa f996e6afde54e18b 0583d1430e09208f 691962f23ad07c3e 689824c8adc1b758
+        c7446a8b4d14b207 1c4c7acd35bc8ecf 20dddfbe584efd32 9540cc7ac73ff81d 8171eaa604fc858d 4b2b6b79cda7f400
+        c7446a8b4d14b207 afe6835f288b84aa f996e6afde54e18b 0583d1430e09208f 691962f23ad07c3e 689824c8adc1b758
+        c7446a8b4d14b207 ef907cc41f4915ef 92265be43dc75b1a 1ebec8d6771f6969 00312a70af942723 1171733bdec1e6f3
+        57dd683ec9a260a6 9aef8d569abcee03 4e36ac1b70f04762 100d21f8433ff8b1 17cbce1b4835b6e4 6474aae6ab2580b6
+        c7446a8b4d14b207 3b9911c61f2912e4 858202239d2a1519 1db179fb2cb9f5c7 6ce9d605146466fe 554ddce1aecbe406
+        c7446a8b4d14b207 afe6835f288b84aa f996e6afde54e18b 0583d1430e09208f 691962f23ad07c3e 689824c8adc1b758
+        c7446a8b4d14b207 b8399911bc4bcc21 f49e2a5f616142e5 9c4da7695fa85f3f efe84eed05b0e16a 54563c261a1e280a
+        c7446a8b4d14b207 afe6835f288b84aa f996e6afde54e18b 0583d1430e09208f 691962f23ad07c3e 689824c8adc1b758
+        c7446a8b4d14b207 3e2ebc633f1687df 8b313d43fd68d0c7 e663fd3d2069116f 7a7c950bb6d38e32 24949b550b0b57cf
+        8bcb6465b7cf31dd 1300b329529130cc 94b0210e7380af11 abb98f56b2835abd 968e5eb12a88c7b4 7b631c7aa0fe47f2
+        c7446a8b4d14b207 2d26058122e9ccda 71bcd2d141b1133c 3d76c13cfd11068b 73e3095e1aa1dc27 03dfb378fed1062f
+        755870a9bed4f059 29621ee93209da78 4061f3ffc7b233e5 be2740742092c071 74010ed6545928a6 468a18a49c092256
+        c7446a8b4d14b207 cdc234460e8d3139 484ec58213aa56d4 a9fd31505f7b8507 cdc9e701962a6c88 b2834051d805d8f4
+        c7446a8b4d14b207 afe6835f288b84aa f996e6afde54e18b 0583d1430e09208f 691962f23ad07c3e 689824c8adc1b758
+        c7446a8b4d14b207 c6f1053db5835324 7ea0cfed31a044eb 46172aa50392054b c7d15aeffd0a373e d9c180a4fa5c835c
+        2b6cb8acf7e84251 09a585e2ddab6af0 2287fc043c36c51d 153e1b97856be61a 59109065d2d1b43a 689824c8adc1b758
+        c7446a8b4d14b207 dac9debe7f2aa9da d32c8c32b9f8165b 90f2ab799fde0c3f a51d2c78f9c2e233 8547d01fbf7af832
+        c7446a8b4d14b207 afe6835f288b84aa f996e6afde54e18b 0583d1430e09208f 691962f23ad07c3e 689824c8adc1b758
+        c7446a8b4d14b207 bc76c7c7ba30e49e a2429677d9d2d9fa c4bc2001d05d8b3f 1eb87b23cdc313d3 63f734e37988e9d3
+        c7446a8b4d14b207 afe6835f288b84aa f996e6afde54e18b 0583d1430e09208f 691962f23ad07c3e 689824c8adc1b758
+        c7446a8b4d14b207 3bba912442676cfb 839bc2b127dca22d ff3f1c8452effedb dc6a950c649c2b8e 213019915c7ec33b
+        18f1efa19bbb31a8 64e8416228864789 e69f337d0a7a9564 dbdc02629de5fa30 3f2f2867983a0cdc e6c1102caa1c3033
+    ";
+
+    #[test]
+    fn injection_changes_then_recovers() {
+        let src = "class A { int prev; void main() { SSJAVA: while (true) {
+            int x = Device.read();
+            Out.emit(prev + x);
+            prev = x;
+        } } }";
+        let inputs = ScriptedInput::new().channel("read", vec![Value::Int(1)]);
+        let run = |inj, pinned| {
+            diff_with(
+                src,
+                ("A", "main"),
+                &inputs,
+                10,
+                &ExecOptions::default(),
+                inj,
+                pinned,
+            )
+            .expect("runs")
+        };
+        let golden = run(None, "bf6f346fca75e425");
+        let injected = run(Some((99, 7, InjectKind::Op)), "9f6b410c9b6f8ea9");
+        assert!(injected.injected_at.is_some());
+        assert_ne!(golden.outputs(), injected.outputs());
+        // Eventually identical again: the last iterations must match.
+        assert_eq!(
+            golden.iteration_outputs.last(),
+            injected.iteration_outputs.last()
+        );
     }
 
     #[test]
@@ -1314,7 +1461,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_entry_is_an_error_in_both() {
+    fn unknown_entry_is_an_error() {
         let r = diff_with(
             "class A { void main() { } }",
             ("A", "nope"),
@@ -1322,6 +1469,7 @@ mod tests {
             1,
             &ExecOptions::default(),
             None,
+            "c497dc668aa13d81",
         );
         assert!(r.is_err());
         let r = diff_with(
@@ -1331,6 +1479,7 @@ mod tests {
             1,
             &ExecOptions::default(),
             None,
+            "62546e27d9c5a769",
         );
         assert!(r.is_err());
     }
@@ -1347,9 +1496,10 @@ mod tests {
             3,
             &ExecOptions::default(),
             None,
+            "57a6dfaf7cbeed5e",
         )
         .expect("runs");
-        // Emissions outside any iteration are dropped in both engines.
+        // Emissions outside any iteration are dropped.
         assert!(r.iteration_outputs.is_empty());
     }
 
@@ -1363,6 +1513,7 @@ mod tests {
              class R { int n = 5; int bump() { n = n + 1; return n; } }",
             ScriptedInput::new(),
             2,
+            "cf799355cd5d1da9",
         );
     }
 }

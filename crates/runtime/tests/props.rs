@@ -1,11 +1,11 @@
-//! Property tests for the runtime: interpreter determinism, crash
+//! Property tests for the runtime: VM determinism, crash
 //! avoidance never aborting, recovery-measurement laws, and the
 //! self-stabilization property itself on a verified program under
 //! arbitrary single injections.
 
 use proptest::prelude::*;
 use sjava_runtime::{
-    compare_runs, inject::InjectKind, ExecOptions, Injector, Interpreter, ScriptedInput, Value,
+    compare_runs, compile, inject::InjectKind, ExecOptions, Injector, ScriptedInput, Value, Vm,
 };
 use sjava_syntax::parse;
 
@@ -28,11 +28,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn interpreter_is_deterministic(vals in prop::collection::vec(-100i64..100, 1..20)) {
+    fn vm_is_deterministic(vals in prop::collection::vec(-100i64..100, 1..20)) {
         let p = parse(SHIFT_SRC).expect("parses");
-        let a = Interpreter::new(&p, inputs(&vals), ExecOptions::default())
+        let a = Vm::new(&compile(&p), inputs(&vals), ExecOptions::default())
             .run("S", "main", 12).expect("runs");
-        let b = Interpreter::new(&p, inputs(&vals), ExecOptions::default())
+        let b = Vm::new(&compile(&p), inputs(&vals), ExecOptions::default())
             .run("S", "main", 12).expect("runs");
         prop_assert_eq!(a.iteration_outputs, b.iteration_outputs);
         prop_assert_eq!(a.steps, b.steps);
@@ -48,10 +48,10 @@ proptest! {
         // ANY single corruption — the runtime face of Theorem 4.5.3.
         let p = parse(SHIFT_SRC).expect("parses");
         let vals: Vec<i64> = (0..40).map(|i| (i * 7 % 23) as i64).collect();
-        let golden = Interpreter::new(&p, inputs(&vals), ExecOptions::default())
+        let golden = Vm::new(&compile(&p), inputs(&vals), ExecOptions::default())
             .run("S", "main", 15).expect("golden");
         let kind = if heap_kind { InjectKind::Heap } else { InjectKind::Op };
-        let run = Interpreter::new(&p, inputs(&vals), ExecOptions::default())
+        let run = Vm::new(&compile(&p), inputs(&vals), ExecOptions::default())
             .with_injector(Injector::with_kind(seed, trigger, kind))
             .run("S", "main", 15).expect("injected");
         let stats = compare_runs(&golden.iteration_outputs, &run.iteration_outputs, 0.0);
@@ -82,7 +82,7 @@ proptest! {
             }
             class R { int v; }";
         let p = parse(src).expect("parses");
-        let r = Interpreter::new(&p, inputs(&vals), ExecOptions::default())
+        let r = Vm::new(&compile(&p), inputs(&vals), ExecOptions::default())
             .run("C", "main", 6).expect("ignore-errors mode never aborts");
         prop_assert_eq!(r.iteration_outputs.len(), 6);
         prop_assert!(!r.error_log.is_empty());
@@ -124,11 +124,11 @@ proptest! {
 
     #[test]
     fn injected_run_reaches_the_end(seed in 0u64..500, trigger in 1u64..200) {
-        // Injection must never make the interpreter fail in ignore mode:
+        // Injection must never make the VM fail in ignore mode:
         // the program always completes its scheduled iterations.
         let p = parse(SHIFT_SRC).expect("parses");
         let vals: Vec<i64> = (0..40).collect();
-        let run = Interpreter::new(&p, inputs(&vals), ExecOptions::default())
+        let run = Vm::new(&compile(&p), inputs(&vals), ExecOptions::default())
             .with_injector(Injector::new(seed, trigger))
             .run("S", "main", 10).expect("runs");
         prop_assert_eq!(run.iteration_outputs.len(), 10);
@@ -148,9 +148,9 @@ proptest! {
         // single-fault tolerance).
         let p = parse(SHIFT_SRC).expect("parses");
         let vals: Vec<i64> = (0..40).map(|i| (i * 5 % 17) as i64).collect();
-        let golden = Interpreter::new(&p, inputs(&vals), ExecOptions::default())
+        let golden = Vm::new(&compile(&p), inputs(&vals), ExecOptions::default())
             .run("S", "main", 20).expect("golden");
-        let run = Interpreter::new(&p, inputs(&vals), ExecOptions::default())
+        let run = Vm::new(&compile(&p), inputs(&vals), ExecOptions::default())
             .with_injector(Injector::burst(seed, triggers.clone(), InjectKind::Op))
             .run("S", "main", 20).expect("injected");
         let stats = compare_runs(&golden.iteration_outputs, &run.iteration_outputs, 0.0);

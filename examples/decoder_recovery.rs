@@ -7,13 +7,14 @@
 //! Run with: `cargo run --release --example decoder_recovery`
 
 use sjava::apps::mp3dec;
-use sjava::{check, compare_runs, parse, ExecOptions, Injector, Interpreter};
+use sjava::{check, compare_runs, compile, parse, ExecOptions, Injector, Vm};
 
 fn main() {
     let granule = 64;
     let window = 8;
     let src = mp3dec::source_with(granule, window);
     let program = parse(&src).expect("decoder parses");
+    let module = compile(&program);
     let report = check(&program);
     assert!(report.is_ok(), "{}", report.diagnostics);
     println!(
@@ -22,8 +23,8 @@ fn main() {
     );
 
     let frames = 8;
-    let golden = Interpreter::new(
-        &program,
+    let golden = Vm::new(
+        &module,
         mp3dec::inputs_for(0, granule),
         ExecOptions::default(),
     )
@@ -37,8 +38,8 @@ fn main() {
     println!("seed  injected@step   recovery(samples)  recovery(frames)");
     for seed in 0..12u64 {
         let trigger = 1 + seed * golden.steps / 14;
-        let run = Interpreter::new(
-            &program,
+        let run = Vm::new(
+            &module,
             mp3dec::inputs_for(0, granule),
             ExecOptions::default(),
         )

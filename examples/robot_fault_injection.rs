@@ -6,16 +6,17 @@
 //! Run with: `cargo run --example robot_fault_injection`
 
 use sjava::apps::sumobot;
-use sjava::{check, compare_runs, parse, ExecOptions, Injector, Interpreter, Value};
+use sjava::{check, compare_runs, compile, parse, ExecOptions, Injector, Value, Vm};
 
 fn main() {
     let program = parse(sumobot::SOURCE).expect("parses");
+    let module = compile(&program);
     let report = check(&program);
     assert!(report.is_ok(), "{}", report.diagnostics);
     println!("robot controller verified self-stabilizing ✓\n");
 
     let iterations = 30;
-    let golden = Interpreter::new(&program, sumobot::inputs(0), ExecOptions::default())
+    let golden = Vm::new(&module, sumobot::inputs(0), ExecOptions::default())
         .run(sumobot::ENTRY.0, sumobot::ENTRY.1, iterations)
         .expect("golden");
 
@@ -36,7 +37,7 @@ fn main() {
     let mut corrupted = 0;
     for seed in 0..25u64 {
         let trigger = 5 + seed * 23;
-        let run = Interpreter::new(&program, sumobot::inputs(0), ExecOptions::default())
+        let run = Vm::new(&module, sumobot::inputs(0), ExecOptions::default())
             .with_injector(Injector::new(seed, trigger))
             .run(sumobot::ENTRY.0, sumobot::ENTRY.1, iterations)
             .expect("injected");

@@ -11,14 +11,17 @@
 #      process-level `sjava check` byte-identity checks in tests/cli.rs)
 #   4. clippy with warnings denied
 #   5. explicit release-mode runs of the determinism regression and of
-#      the VM-equivalence suite (crates/bench/tests/vm_equiv.rs, whose
-#      campaign sweeps pin per-trial results across worker counts), so
-#      the parallel pipeline and the campaign workers are exercised with
+#      the VM trace suite (crates/bench/tests/vm_equiv.rs: the VM must
+#      reproduce the pinned traces of the paper apps and the stress
+#      corpus, plain and fault-injected, and its campaign sweeps pin
+#      per-trial results across worker counts), so the parallel
+#      pipeline and the campaign workers are exercised with
 #      optimizations on and real interleaving
 #   6. the golden-diagnostic snapshot suite (regenerate fixtures with
 #      SJAVA_REGEN_GOLDEN=1 after an intentional diagnostic change),
-#      followed by a freshness gate: the fixtures are regenerated into
-#      place and any drift from the checked-in bytes fails the build
+#      followed by a freshness gate: the diagnostic, fuzz near-miss and
+#      VM trace fixtures are regenerated into place and any drift from
+#      the checked-in bytes fails the build
 #   7. the incremental-cache correctness suite, with the worker pool
 #      pinned to 1 and then 4 threads so cached replay is proven
 #      deterministic across fan-out widths; it includes the ≥0.95
@@ -52,12 +55,6 @@
 #      incremental output must be byte-identical to a fresh full check
 #      of the same mutated AST; the ratio floor auto-skips only when
 #      the corpus has < 50 methods
-#  13. the VM gate (bench_vm): the register-bytecode VM must produce
-#      byte-identical traces to the tree-walking interpreter on the
-#      four paper apps + mp3dec and across the stress corpus (plain
-#      and fault-injected, both kinds), and beat it by ≥5x on mp3dec
-#      (the throughput floor auto-skips on machines with <4 cores,
-#      where the measurement is too noisy; identity always gates)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,24 +73,25 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== determinism: identical diagnostics at 1..8 worker threads =="
 cargo test --release -q -p sjava-bench --test determinism
 
-echo "== campaign invariance: identical trials at 1, 2 and 4 workers (release) =="
+echo "== VM traces + campaign invariance at 1, 2 and 4 workers (release) =="
 cargo test --release -q -p sjava-bench --test vm_equiv
 
 echo "== golden diagnostics (apps + violation probes, cold and cached) =="
 cargo test --release -q -p sjava-bench --test golden
 
-echo "== golden fixtures are fresh (regenerate + diff, incl. fuzz near-miss corpus) =="
+echo "== golden fixtures are fresh (regenerate + diff, incl. fuzz near-miss corpus and VM traces) =="
 golden_dir=crates/bench/tests/golden
 backup_dir=$(mktemp -d)
 cp -r "$golden_dir"/. "$backup_dir"/
 SJAVA_REGEN_GOLDEN=1 cargo test --release -q -p sjava-bench --test golden
 SJAVA_REGEN_GOLDEN=1 cargo test --release -q -p sjava-bench --test fuzz_fixtures
+SJAVA_REGEN_GOLDEN=1 cargo test --release -q -p sjava-bench --test vm_equiv
 if ! diff -ru "$backup_dir" "$golden_dir" >/dev/null; then
     diff -ru "$backup_dir" "$golden_dir" || true
     cp -r "$backup_dir"/. "$golden_dir"/
     rm -rf "$backup_dir"
     echo "golden fixtures are stale: regenerating them produced different bytes." >&2
-    echo "Run SJAVA_REGEN_GOLDEN=1 cargo test -p sjava-bench --test golden --test fuzz_fixtures and commit the diff." >&2
+    echo "Run SJAVA_REGEN_GOLDEN=1 cargo test -p sjava-bench --test golden --test fuzz_fixtures --test vm_equiv and commit the diff." >&2
     exit 1
 fi
 rm -rf "$backup_dir"
@@ -149,16 +147,5 @@ echo "== edit-storm gate (dependency-tracked invalidation) =="
 # deterministic, so refreshing the committed file is intentional (only
 # the warm-time fields vary by machine).
 target/release/bench_edit --gate
-
-echo "== VM gate (trace identity + mp3dec speedup floor) =="
-# Trace identity between the register-bytecode VM and the tree-walking
-# interpreter is the precondition for every campaign number; the ≥5x
-# mp3dec floor is what justifies the 100k-trial fig 6.1 default. Runs
-# from a scratch directory so the smoke JSON does not overwrite the
-# committed results/BENCH_vm.json.
-vm_bin=$PWD/target/release/bench_vm
-vm_dir=$(mktemp -d)
-(cd "$vm_dir" && "$vm_bin" --gate)
-rm -rf "$vm_dir"
 
 echo "CI green"

@@ -308,11 +308,19 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                 Err(c) => return c,
             },
             "--window" => match float(value) {
-                Ok(f) => window = f,
+                Ok(f) if f > 0.0 && f <= 1.0 => window = f,
+                Ok(_) => {
+                    eprintln!("error: `--window` needs a fraction in (0, 1], got `{a}`");
+                    return ExitCode::from(EXIT_USAGE);
+                }
                 Err(c) => return c,
             },
             "--eps" => match float(value) {
-                Ok(f) => eps = f,
+                Ok(f) if f >= 0.0 && f.is_finite() => eps = f,
+                Ok(_) => {
+                    eprintln!("error: `--eps` needs a finite number ≥ 0, got `{a}`");
+                    return ExitCode::from(EXIT_USAGE);
+                }
                 Err(c) => return c,
             },
             "--grid" => {
@@ -611,7 +619,7 @@ fn cmd_vfg(path: &str) -> ExitCode {
 fn load(path: &str) -> Result<(SourceFile, sjava::Program), ExitCode> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         eprintln!("error: cannot read `{path}`: {e}");
-        ExitCode::FAILURE
+        ExitCode::from(EXIT_USAGE)
     })?;
     let file = SourceFile::new(path, text);
     match sjava::parse(&file.text) {
@@ -818,21 +826,25 @@ fn cmd_infer(args: &[String]) -> ExitCode {
 }
 
 fn cmd_run(path: &str, entry: &str, iters: &str) -> ExitCode {
+    let Some((class, method)) = entry.split_once('.') else {
+        eprintln!("error: entry must be `Class.method`, got `{entry}`");
+        return ExitCode::from(EXIT_USAGE);
+    };
+    let Ok(iters) = iters.parse::<usize>() else {
+        eprintln!("error: iterations must be a non-negative integer, got `{iters}`");
+        return ExitCode::from(EXIT_USAGE);
+    };
     let (_, program) = match load(path) {
         Ok(x) => x,
         Err(c) => return c,
     };
-    let Some((class, method)) = entry.split_once('.') else {
-        eprintln!("error: entry must be `Class.method`");
-        return ExitCode::FAILURE;
-    };
-    let Ok(iters) = iters.parse::<usize>() else {
-        eprintln!("error: iterations must be a number");
-        return ExitCode::FAILURE;
-    };
     let inputs = sjava::runtime::SeededInput::new(0);
-    match sjava::Interpreter::new(&program, inputs, sjava::ExecOptions::default())
-        .run(class, method, iters)
+    match sjava::Vm::new(
+        &sjava::compile(&program),
+        inputs,
+        sjava::ExecOptions::default(),
+    )
+    .run(class, method, iters)
     {
         Ok(result) => {
             for (i, outs) in result.iteration_outputs.iter().enumerate() {

@@ -14,9 +14,9 @@
 //!    linear-type aliasing, the definitely-written eviction analysis,
 //!    shared locations, and loop termination;
 //! 3. [`infer_annotations`] when the source is unannotated;
-//! 4. execute with [`Interpreter`] under crash-avoidance semantics,
-//!    optionally with seeded error injection, and measure recovery with
-//!    [`compare_runs`].
+//! 4. [`compile`] to register bytecode and execute on the [`Vm`] under
+//!    crash-avoidance semantics, optionally with seeded error injection,
+//!    and measure recovery with [`compare_runs`].
 //!
 //! ```
 //! use sjava::{parse, check};
@@ -53,6 +53,6 @@ pub use sjava_syntax as syntax;
 pub use sjava_core::{check_program as check, CheckReport};
 pub use sjava_infer::{infer as infer_annotations, InferenceResult, Mode};
 pub use sjava_runtime::{
-    compare_runs, ExecOptions, Injector, Interpreter, RecoveryStats, ScriptedInput, Value,
+    compare_runs, compile, ExecOptions, Injector, RecoveryStats, ScriptedInput, Value, Vm,
 };
 pub use sjava_syntax::{parse, Diagnostics, Program};

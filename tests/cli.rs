@@ -81,6 +81,86 @@ fn run_executes_iterations() {
 }
 
 #[test]
+fn run_output_is_pinned() {
+    // Ten iterations of each app on the seeded input. The expected bytes
+    // were printed by the tree-walking interpreter, the reference engine
+    // the VM replaced.
+    use sjava::apps::{eyetrack, sumobot, weather, windsensor};
+    let apps = [
+        (
+            "windsensor",
+            windsensor::SOURCE,
+            windsensor::ENTRY,
+            include_str!("golden/run_windsensor.txt"),
+        ),
+        (
+            "weather",
+            weather::SOURCE,
+            weather::ENTRY,
+            include_str!("golden/run_weather.txt"),
+        ),
+        (
+            "sumobot",
+            sumobot::SOURCE,
+            sumobot::ENTRY,
+            include_str!("golden/run_sumobot.txt"),
+        ),
+        (
+            "eyetrack",
+            eyetrack::SOURCE,
+            eyetrack::ENTRY,
+            include_str!("golden/run_eyetrack.txt"),
+        ),
+    ];
+    for (name, source, (class, method), expected) in apps {
+        let path = write_temp(&format!("run_{name}.sj"), source);
+        let entry = format!("{class}.{method}");
+        let out = sjava(&["run", path.to_str().expect("utf8"), &entry, "10"]);
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{name}");
+    }
+}
+
+#[test]
+fn usage_and_io_errors_exit_2() {
+    let missing = std::env::temp_dir().join("sjava-cli-tests/does-not-exist.sj");
+    let missing = missing.to_str().expect("utf8");
+    for cmd in ["infer", "lattice", "lifetimes", "lint", "vfg"] {
+        let out = sjava(&[cmd, missing]);
+        assert_eq!(out.status.code(), Some(2), "{cmd} on an unreadable file");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("cannot read"),
+            "{cmd}"
+        );
+    }
+    let good = write_temp("exit_good.sj", sjava::apps::windsensor::SOURCE);
+    let good = good.to_str().expect("utf8");
+    for (args, why) in [
+        (
+            [missing, "WDSensor.windDirection", "3"],
+            "an unreadable file",
+        ),
+        ([good, "WDSensorwindDirection", "3"], "an entry without `.`"),
+        (
+            [good, "WDSensor.windDirection", "three"],
+            "non-numeric iterations",
+        ),
+    ] {
+        let out = sjava(&["run", args[0], args[1], args[2]]);
+        assert_eq!(out.status.code(), Some(2), "run with {why}");
+        assert!(out.stdout.is_empty(), "run with {why}");
+    }
+    // A parse failure is a failed command, not a usage error.
+    let broken = write_temp("exit_broken.sj", "class {");
+    let out = sjava(&["run", broken.to_str().expect("utf8"), "A.main", "3"]);
+    assert_eq!(out.status.code(), Some(1), "run on a parse failure");
+}
+
+#[test]
 fn lattice_prints_dot() {
     let path = write_temp("dot.sj", sjava::apps::windsensor::SOURCE);
     let out = sjava(&["lattice", path.to_str().expect("utf8")]);
@@ -331,6 +411,35 @@ fn campaign_rejects_zero_threads() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--threads"), "{stderr}");
     assert!(out.stdout.is_empty(), "no campaign may run");
+}
+
+#[test]
+fn campaign_rejects_out_of_range_eps_and_window() {
+    // Out-of-range values would run and skew the histogram: a negative
+    // eps makes even identical floats compare unequal, a window above 1
+    // puts triggers past the end of the run, and one at or below 0
+    // clamps every trigger to step 1.
+    for (arg, flag) in [
+        ("--eps=-1", "--eps"),
+        ("--eps=NaN", "--eps"),
+        ("--eps=inf", "--eps"),
+        ("--window=7", "--window"),
+        ("--window=-3", "--window"),
+        ("--window=0", "--window"),
+        ("--window=NaN", "--window"),
+    ] {
+        let out = campaign(&["--app=weather", "--trials=4", arg]);
+        assert_eq!(out.status.code(), Some(2), "{arg} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{arg}: {stderr}");
+        assert!(out.stdout.is_empty(), "{arg}: no campaign may run");
+    }
+    let out = campaign(&["--app=weather", "--trials=4", "--eps=0", "--window=1"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 fn walk_count(dir: &std::path::Path) -> usize {

@@ -3,7 +3,7 @@
 //! observed runtime behaviour.
 
 use sjava::runtime::InputProvider;
-use sjava::{check, compare_runs, parse, ExecOptions, Injector, Interpreter};
+use sjava::{check, compare_runs, compile, parse, ExecOptions, Injector, Vm};
 
 fn assert_bounded_recovery<I: InputProvider, F: Fn(u64) -> I>(
     source: &str,
@@ -13,15 +13,16 @@ fn assert_bounded_recovery<I: InputProvider, F: Fn(u64) -> I>(
     bound: usize,
 ) {
     let program = parse(source).expect("parses");
+    let module = compile(&program);
     let report = check(&program);
     assert!(report.is_ok(), "{}", report.diagnostics);
-    let golden = Interpreter::new(&program, make_inputs(0), ExecOptions::default())
+    let golden = Vm::new(&module, make_inputs(0), ExecOptions::default())
         .run(entry.0, entry.1, iterations)
         .expect("golden");
     let mut diverged = 0;
     for seed in 0..25u64 {
         let trigger = 1 + seed * golden.steps / 30;
-        let run = Interpreter::new(&program, make_inputs(0), ExecOptions::default())
+        let run = Vm::new(&module, make_inputs(0), ExecOptions::default())
             .with_injector(Injector::new(seed, trigger))
             .run(entry.0, entry.1, iterations)
             .expect("injected");
@@ -105,14 +106,15 @@ fn checker_rejects_the_program_the_runtime_shows_unstable() {
             }
         }"#;
     let program = parse(source).expect("parses");
+    let module = compile(&program);
     let report = check(&program);
     assert!(!report.is_ok(), "sticky accumulator must be rejected");
 
     let inputs = || sjava::ScriptedInput::new().channel("read", vec![sjava::Value::Int(1)]);
-    let golden = Interpreter::new(&program, inputs(), ExecOptions::default())
+    let golden = Vm::new(&module, inputs(), ExecOptions::default())
         .run("Acc", "run", 20)
         .expect("golden");
-    let injected = Interpreter::new(&program, inputs(), ExecOptions::default())
+    let injected = Vm::new(&module, inputs(), ExecOptions::default())
         .with_injector(Injector::new(5, 12))
         .run("Acc", "run", 20)
         .expect("injected");
@@ -132,6 +134,7 @@ fn verified_programs_recover_in_lattice_height_iterations() {
     // is DIR0>DIR1>DIR2 (height 4 with ⊤/⊥) and recovery never exceeds
     // the number of named levels.
     let program = parse(sjava::apps::windsensor::SOURCE).expect("parses");
+    let module = compile(&program);
     let report = check(&program);
     assert!(report.is_ok());
     let height = report
@@ -140,8 +143,8 @@ fn verified_programs_recover_in_lattice_height_iterations() {
         .expect("lattice")
         .height();
     assert_eq!(height, 4);
-    let golden = Interpreter::new(
-        &program,
+    let golden = Vm::new(
+        &module,
         sjava::apps::windsensor::inputs(0),
         ExecOptions::default(),
     )
@@ -149,8 +152,8 @@ fn verified_programs_recover_in_lattice_height_iterations() {
     .expect("golden");
     for seed in 0..30u64 {
         let trigger = 1 + seed * golden.steps / 35;
-        let run = Interpreter::new(
-            &program,
+        let run = Vm::new(
+            &module,
             sjava::apps::windsensor::inputs(0),
             ExecOptions::default(),
         )

@@ -4,14 +4,15 @@
 //! `@METHODDEFAULT` defaulting — each in a complete program that must be
 //! verified self-stabilizing AND execute correctly.
 
-use sjava::{check, parse, ExecOptions, Interpreter, ScriptedInput, Value};
+use sjava::{check, compile, parse, ExecOptions, ScriptedInput, Value, Vm};
 
 fn accept_and_run(name: &str, source: &str, entry: (&str, &str), iters: usize) -> Vec<Value> {
     let program = parse(source).unwrap_or_else(|d| panic!("{name} parses: {d}"));
+    let module = compile(&program);
     let report = check(&program);
     assert!(report.is_ok(), "{name} must check:\n{}", report.diagnostics);
     let inputs = ScriptedInput::new().channel("read", (1..=iters as i64).map(Value::Int).collect());
-    let run = Interpreter::new(&program, inputs, ExecOptions::default())
+    let run = Vm::new(&module, inputs, ExecOptions::default())
         .run(entry.0, entry.1, iters)
         .unwrap_or_else(|e| panic!("{name} runs: {e}"));
     assert!(run.error_log.is_empty(), "{name}: {:?}", run.error_log);
