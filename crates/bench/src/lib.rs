@@ -41,10 +41,12 @@ pub fn run_golden<I: InputProvider>(
 /// ([`Grid::MonteCarlo`](sjava_runtime::Grid::MonteCarlo)): per seed, the
 /// trigger step is drawn uniformly from the first `inject_window`
 /// fraction of the golden run's steps, and the kind alternates between
-/// operation and heap errors. One compile, one VM per `sjava_par` worker
-/// (`SJAVA_THREADS` overrides the width) and a per-trial snapshot
-/// restore. `make_inputs` builds fresh
-/// inputs once per worker. Results come back in seed order, so every
+/// operation and heap errors. One compile, one checkpointed golden run,
+/// one VM per `sjava_par` worker (`SJAVA_THREADS` overrides the width),
+/// and per trial a restore of the golden run's last event-loop head
+/// before the fault, run until the state rejoins the golden run.
+/// `make_inputs` builds fresh inputs for the golden run and once per
+/// worker. Results come back in seed order, so every
 /// downstream aggregate (histograms, counters, CSV rows) is identical at
 /// any thread count.
 ///
@@ -64,7 +66,7 @@ pub fn run_trials<I, F>(
     eps: f64,
 ) -> Vec<Trial>
 where
-    I: InputProvider + Clone,
+    I: InputProvider + Clone + Sync,
     F: Fn() -> I + Sync,
 {
     let mut c = Campaign::new(program, entry, iterations);

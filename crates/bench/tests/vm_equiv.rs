@@ -335,27 +335,51 @@ fn scripted() -> ScriptedInput {
     )
 }
 
+/// The campaign rejoin probes of `sjava-runtime`.
+#[path = "../../runtime/tests/rejoin_probes/mod.rs"]
+mod rejoin_probes;
+use rejoin_probes::{probe_inputs, probes};
+
 #[test]
 fn campaign_is_claim_order_invariant() {
     // Every worker count must reproduce, trial for trial, one injected
-    // run on a fresh VM over fresh inputs, on both grid kinds, including
-    // trials whose trigger fires during instantiation. One worker
+    // run on a fresh VM over fresh inputs, on both grid kinds: on
+    // programs whose trigger can fire during instantiation, and on the
+    // rejoin probes, whose trials start from the golden run's
+    // checkpoints and stop where their state rejoins it. One worker
     // replays the whole grid on one VM; more workers interleave it
     // across several VMs in whatever order they claim it.
     let semantic = |o: &CampaignOutcome| {
         o.trials
             .iter()
-            .map(|t| (t.seed, t.trigger, t.kind, t.injected_at, t.stats.clone()))
+            .map(|t| {
+                let s = &t.stats;
+                (
+                    t.seed,
+                    t.trigger,
+                    t.kind,
+                    t.injected_at,
+                    s.clone(),
+                    t.rejoined_at,
+                )
+            })
             .collect::<Vec<_>>()
     };
-    for src in INSTANTIATING {
+    let cases = INSTANTIATING
+        .iter()
+        .map(|&src| ("instantiating", src, scripted as fn() -> ScriptedInput))
+        .chain(probes().map(|(name, src)| (name, src, probe_inputs as fn() -> ScriptedInput)));
+    for (name, src, inputs) in cases {
         let program = sjava_syntax::parse(src).expect("parses");
         let module = compile(&program);
-        let prep_steps = Vm::new(&module, scripted(), ExecOptions::default())
+        let prep_steps = Vm::new(&module, inputs(), ExecOptions::default())
             .prepare("A", "main")
             .expect("entry resolves")
             .steps;
-        assert!(prep_steps >= 1, "instantiation must take steps");
+        let instantiating = name == "instantiating";
+        if instantiating {
+            assert!(prep_steps >= 1, "instantiation must take steps");
+        }
         let grids = [
             Grid::MonteCarlo,
             Grid::Lattice {
@@ -369,13 +393,20 @@ fn campaign_is_claim_order_invariant() {
                 c.grid = grid;
                 c.trials = 40;
                 c.threads = Some(threads);
-                c.run(scripted).expect("campaign runs")
+                c.run(inputs).expect("campaign runs")
             };
             let reference = run(1);
-            assert!(
-                reference.trials.iter().any(|t| t.trigger <= prep_steps),
-                "{grid:?}: the grid must include triggers inside instantiation"
-            );
+            let planned = match grid {
+                Grid::MonteCarlo => 40,
+                Grid::Lattice { seeds, triggers } => triggers * (reference.heap_cells + seeds),
+            };
+            assert_eq!(reference.trials.len(), planned, "{name} {grid:?}\n{src}");
+            if instantiating {
+                assert!(
+                    reference.trials.iter().any(|t| t.trigger <= prep_steps),
+                    "{grid:?}: the grid must include triggers inside instantiation"
+                );
+            }
             // Ground truth: every trial equals one injected run on a
             // fresh VM over fresh inputs.
             for t in &reference.trials {
@@ -386,11 +417,14 @@ fn campaign_is_claim_order_invariant() {
                     }
                     TrialKind::HeapCell(rank) => Injector::targeted_cell(t.seed, t.trigger, rank),
                 };
-                let fresh = Vm::new(&module, scripted(), ExecOptions::default())
+                let fresh = Vm::new(&module, inputs(), ExecOptions::default())
                     .with_injector(injector)
                     .run("A", "main", 6)
                     .expect("injected run");
-                assert_eq!(t.injected_at, fresh.injected_at, "{grid:?} {t:?}\n{src}");
+                assert_eq!(
+                    t.injected_at, fresh.injected_at,
+                    "{name} {grid:?} {t:?}\n{src}"
+                );
                 assert_eq!(
                     t.stats,
                     compare_runs(
@@ -398,7 +432,7 @@ fn campaign_is_claim_order_invariant() {
                         &fresh.iteration_outputs,
                         0.0
                     ),
-                    "{grid:?} {t:?}\n{src}"
+                    "{name} {grid:?} {t:?}\n{src}"
                 );
             }
             for threads in [2usize, 4] {
@@ -411,7 +445,7 @@ fn campaign_is_claim_order_invariant() {
                 assert_eq!(
                     semantic(&got),
                     semantic(&reference),
-                    "{grid:?} threads={threads} changed results\n{src}"
+                    "{name} {grid:?} threads={threads} changed results\n{src}"
                 );
                 assert_eq!(got.hist_samples.buckets, reference.hist_samples.buckets);
                 assert_eq!(
@@ -419,6 +453,31 @@ fn campaign_is_claim_order_invariant() {
                     reference.hist_iterations.buckets
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn mp3dec_trials_rejoin_the_golden_run() {
+    // The decoder flushes corruption within a few frames (fig 6.1), and
+    // its trials must see that as state, not only as outputs: some stop
+    // early at a head where their machine state is the golden run's.
+    use sjava_apps::mp3dec;
+    let program = parse(&mp3dec::source_with(mp3dec::GRANULE, mp3dec::WINDOW));
+    let mut c = Campaign::new(&program, mp3dec::ENTRY, 8);
+    c.trials = 12;
+    let out = c.run(|| mp3dec::inputs(0)).expect("campaign runs");
+    let rejoined = out
+        .trials
+        .iter()
+        .filter(|t| t.rejoined_at.is_some())
+        .count();
+    assert!(rejoined > 0, "no mp3dec trial rejoined the golden run");
+    for t in &out.trials {
+        if let Some(k) = t.rejoined_at {
+            assert!(k <= 8, "{t:?}");
+            // Nothing differs from the rejoin head on.
+            assert!(t.stats.last_bad_iteration.is_none_or(|l| l < k), "{t:?}");
         }
     }
 }

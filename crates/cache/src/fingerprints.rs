@@ -9,7 +9,7 @@
 //!   parameters, span). Bodies are excluded. It keys the cached lattice
 //!   model. Per-method entries no longer fold it: interface edits are
 //!   handled by red-green revalidation of each entry's recorded
-//!   dependency facts ([`crate::deps`]), so a signature edit invalidates
+//!   dependency facts (`deps`), so a signature edit invalidates
 //!   exactly the methods that *read* the changed declaration instead of
 //!   the whole program.
 //! - [`local_fp`] digests one method's resolved declaration, spans

@@ -20,7 +20,7 @@
 //! where `<hh>` is the first byte of the key in hex (256-way fan-out).
 //! The key is the method's content fingerprint (body + callee
 //! summaries), and the payload is the per-method analysis result
-//! ([`crate::MethodEntry`]) followed by the read-set recorded while it
+//! (`MethodEntry`) followed by the read-set recorded while it
 //! was computed: the `(DepKey, fingerprint)` pairs that red-green
 //! revalidation re-evaluates. Result and read-set share one checksum and
 //! one atomic rename, so a reader can never combine halves from

@@ -1,7 +1,7 @@
 //! Register-bytecode compiler and flat heap for the runtime.
 //!
 //! [`compile`] lowers a checked [`Program`] to a [`Module`]: one
-//! register-file [`Chunk`] per `(context class, method)` pair (so every
+//! register-file `Chunk` per `(context class, method)` pair (so every
 //! field offset and unqualified-call target is resolved at compile
 //! time), plus synthesized chunks for field initializers and lazy
 //! static initializers. The dispatch loop lives in [`crate::vm`].
@@ -1602,7 +1602,7 @@ impl<'a, 'p> FnCompiler<'a, 'p> {
 // ---- flat heap ------------------------------------------------------
 
 /// Typed metadata for one flat-heap entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum FlatKind {
     /// A class instance: layout slots plus (rare) overflow fields
     /// written under names the class does not declare.
@@ -1616,7 +1616,7 @@ pub(crate) enum FlatKind {
     Array { default: Value },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FlatEntry {
     pub(crate) base: u32,
     pub(crate) len: u32,
@@ -1682,6 +1682,24 @@ impl<'m> FlatHeap<'m> {
         self.slots.extend_from_slice(&snap.slots);
         self.entries.clear();
         self.entries.extend_from_slice(&snap.entries);
+    }
+
+    /// Bytes `snap`'s slot and entry vectors hold.
+    pub(crate) fn snapshot_bytes(snap: &FlatHeapSnapshot) -> usize {
+        std::mem::size_of_val(snap.slots.as_slice())
+            + std::mem::size_of_val(snap.entries.as_slice())
+    }
+
+    /// Whether this heap is `snap` bit for bit: the same entries and
+    /// [`Value::same_bits`] slots.
+    pub(crate) fn same_bits(&self, snap: &FlatHeapSnapshot) -> bool {
+        self.entries == snap.entries
+            && self.slots.len() == snap.slots.len()
+            && self
+                .slots
+                .iter()
+                .zip(&snap.slots)
+                .all(|(a, b)| a.same_bits(b))
     }
 
     /// Total mutable cells (the injection address space).

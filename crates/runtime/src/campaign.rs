@@ -4,11 +4,27 @@
 //! A [`Campaign`] describes a grid of injection trials — (heap slot |
 //! op step) × seed × trigger — against one program entry point. Running
 //! it compiles the program once and takes one golden run on the bytecode
-//! VM; every trial is then one task on [`sjava_par`]'s shared cursor.
-//! Each worker builds one [`Vm`] over fresh inputs, instantiates it and
-//! snapshots the post-instantiation machine state, and replays every
-//! trial it claims by restoring that flat-heap snapshot — no re-parse,
-//! no re-compile, no re-instantiation per trial.
+//! VM, which checkpoints the whole machine at every head of the entry
+//! event loop. Every trial is then one task on [`sjava_par`]'s shared
+//! cursor, and each worker keeps one [`Vm`].
+//!
+//! A trial runs only the part of its run that can differ from the golden
+//! one. An injector is inert before its trigger, so the trial restores
+//! the last checkpoint before the trigger (or, when the trigger comes
+//! before the first head, instantiates afresh on fresh inputs). Once the
+//! injector is spent, the trial stops at the first head where its
+//! machine state is bitwise the golden run's there
+//! ([`TrialOutcome::rejoined_at`]): a deterministic machine in the same
+//! state runs the same, so the golden run's remaining outputs are the
+//! trial's. Every trial thus reports what one fresh injected run would.
+//!
+//! Checkpoints cost iterations × machine state, and the flat heap never
+//! frees, so a program that allocates in its loop grows that
+//! quadratically. The golden run stops capturing once its checkpoints
+//! hold [`CHECKPOINT_BUDGET`] bytes. A trial whose trigger lies past the
+//! last checkpoint restores that one and runs to the end, as its
+//! rejoin checks stop there too; this also bounds the state a trial
+//! compares.
 //!
 //! Every trial is timed; the outcome reports the mean measured cost of
 //! each trial category in [`CampaignOutcome::cost_model`].
@@ -17,11 +33,15 @@ use crate::bytecode::{compile, Module};
 use crate::driver::{compare_runs, RecoveryStats};
 use crate::inject::{InjectKind, Injector};
 use crate::input::InputProvider;
-use crate::vm::{ExecOptions, Prepared, RunResult, RuntimeError, Vm, VmSnapshot};
+use crate::vm::{Checkpoints, ExecOptions, RunResult, RuntimeError, Vm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sjava_syntax::ast::Program;
 use std::time::Instant;
+
+/// Most bytes of machine state ([`crate::vm`]'s checkpoint size) the
+/// golden run keeps in checkpoints: 64 MiB.
+pub const CHECKPOINT_BUDGET: usize = 64 << 20;
 
 /// What one trial injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +133,8 @@ impl<'a> Campaign<'a> {
 
     /// Runs the campaign. `make_inputs` builds the (deterministic)
     /// input provider — called once for the golden run and once per
-    /// worker; every trial starts from that fresh input state.
+    /// worker. Checkpoints hold input states and are shared by every
+    /// worker, hence `I: Sync`.
     ///
     /// # Errors
     ///
@@ -121,24 +142,38 @@ impl<'a> Campaign<'a> {
     /// runs execute in ignore-errors mode and cannot fail.
     pub fn run<I, F>(&self, make_inputs: F) -> Result<CampaignOutcome, RuntimeError>
     where
-        I: InputProvider + Clone,
+        I: InputProvider + Clone + Sync,
+        F: Fn() -> I + Sync,
+    {
+        self.run_within(make_inputs, CHECKPOINT_BUDGET)
+    }
+
+    /// [`Campaign::run`] with `budget` bytes of checkpoints.
+    fn run_within<I, F>(
+        &self,
+        make_inputs: F,
+        budget: usize,
+    ) -> Result<CampaignOutcome, RuntimeError>
+    where
+        I: InputProvider + Clone + Sync,
         F: Fn() -> I + Sync,
     {
         let started = Instant::now();
         let module = compile(self.program);
         let mut gvm = Vm::new(&module, make_inputs(), ExecOptions::default());
-        let golden = gvm.run(self.entry.0, self.entry.1, self.iterations)?;
+        let (golden, checkpoints) =
+            gvm.run_checkpointed(self.entry.0, self.entry.1, self.iterations, budget)?;
         let heap_cells = gvm.heap_cells();
-        let prep_steps = gvm.prepare(self.entry.0, self.entry.1)?.steps;
         let specs = self.specs(&golden, heap_cells);
 
         let trials = sjava_par::run_indexed_init(
             specs.len(),
             self.threads,
-            || TrialVm::new(&module, make_inputs(), self.entry),
-            |vm, i| vm.trial(self, &specs[i], &golden),
+            || TrialVm::new(&module, make_inputs()),
+            |vm, i| vm.trial(self, &specs[i], &golden, &checkpoints),
         );
-        let cost_model = CostModel::measured(&specs, &trials, prep_steps);
+        let first_head = checkpoints.heads.first().map_or(u64::MAX, |h| h.steps);
+        let cost_model = CostModel::measured(&specs, &trials, first_head);
 
         let mut hist_samples = RecoveryHistogram::new(5, 400);
         let mut hist_iterations = RecoveryHistogram::new(1, 64);
@@ -211,63 +246,70 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// One worker's machine: a VM instantiated once over fresh inputs, the
-/// post-instantiation snapshot its resumed trials restore, and the fresh
-/// input state its full-run trials start from. Every trial sees the
-/// state a fresh injected run would, so results never depend on which
-/// worker claims which trial.
+/// One worker's machine, and the fresh input state its full-run
+/// trials start from. Every trial restores or rebuilds all the machine
+/// state it runs on, so results never depend on which worker claims
+/// which trial.
 struct TrialVm<'m, I: InputProvider> {
     vm: Vm<'m, I>,
     inputs: I,
-    prep: Prepared,
-    snap: VmSnapshot<I>,
 }
 
 impl<'m, I: InputProvider + Clone> TrialVm<'m, I> {
-    fn new(module: &'m Module, inputs: I, entry: (&str, &str)) -> Self {
-        let mut vm = Vm::new(module, inputs.clone(), ExecOptions::default());
-        let prep = vm
-            .prepare(entry.0, entry.1)
-            .expect("campaign entry resolved by the golden run");
-        let snap = vm.snapshot();
+    fn new(module: &'m Module, inputs: I) -> Self {
         TrialVm {
-            vm,
+            vm: Vm::new(module, inputs.clone(), ExecOptions::default()),
             inputs,
-            prep,
-            snap,
         }
     }
 
-    /// Runs one trial of `campaign` against its golden run: restore and
-    /// resume, or a full run when the trigger can fire during
-    /// instantiation.
-    fn trial(&mut self, campaign: &Campaign, spec: &TrialSpec, golden: &RunResult) -> TrialOutcome {
+    /// Runs one trial of `campaign` against its golden run: from the
+    /// last checkpoint before the trigger, or in full when the trigger
+    /// can fire before the first head, until the run ends or rejoins
+    /// the golden run.
+    fn trial(
+        &mut self,
+        campaign: &Campaign,
+        spec: &TrialSpec,
+        golden: &RunResult,
+        checkpoints: &Checkpoints<I>,
+    ) -> TrialOutcome {
         let t0 = Instant::now();
         let vm = &mut self.vm;
-        let run = if spec.trigger > self.prep.steps {
-            vm.restore(&self.snap);
-            vm.resume(&self.prep, campaign.iterations, Some(spec.injector()))
-        } else {
-            // A full run re-instantiates, so it must also start from
-            // the fresh input state rather than wherever earlier
-            // trials left the cursor. The post-prepare snapshot is
-            // not that state: field initializers may read inputs.
-            vm.set_inputs(self.inputs.clone());
-            vm.set_injector(Some(spec.injector()));
-            vm.run(campaign.entry.0, campaign.entry.1, campaign.iterations)
+        vm.set_injector(Some(spec.injector()));
+        let heads = &checkpoints.heads;
+        match heads
+            .partition_point(|h| h.steps < spec.trigger)
+            .checked_sub(1)
+        {
+            Some(k) => vm.restore_checkpoint(&heads[k], golden),
+            None => {
+                // Instantiation may read inputs, so a full run starts
+                // from the fresh input state, not wherever earlier
+                // trials left the cursor.
+                vm.set_inputs(self.inputs.clone());
+                vm.start_checkpointed(campaign.entry.0, campaign.entry.1, campaign.iterations)
+                    .expect("campaign entry resolved by the golden run");
+            }
         }
-        .expect("injected run cannot fail in ignore-errors mode");
-        let stats = compare_runs(
-            &golden.iteration_outputs,
-            &run.iteration_outputs,
-            campaign.eps,
-        );
+        let mut rejoined_at = None;
+        while rejoined_at.is_none()
+            && vm
+                .dispatch()
+                .expect("injected run cannot fail in ignore-errors mode")
+        {
+            rejoined_at = vm.rejoined(checkpoints);
+        }
+        let rest = rejoined_at.map_or(&[][..], |k| &golden.iteration_outputs[k..]);
+        let (outputs, injected_at) = vm.finish_trial(rest);
+        let stats = compare_runs(&golden.iteration_outputs, &outputs, campaign.eps);
         TrialOutcome {
             seed: spec.seed,
             trigger: spec.trigger,
             kind: spec.kind,
-            injected_at: run.injected_at,
+            injected_at,
             stats,
+            rejoined_at,
             ns: t0.elapsed().as_nanos() as u64,
         }
     }
@@ -283,11 +325,11 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Category of a trial: a trigger that can fire during instantiation
-    /// forces a full run; otherwise op or heap injection on a restored
-    /// snapshot.
-    fn category(spec: &TrialSpec, prep_steps: u64) -> usize {
-        if spec.trigger <= prep_steps {
+    /// Category of a trial: a trigger at or before the first head's
+    /// step count (`first_head`) forces a full run; otherwise op or heap
+    /// injection from a restored checkpoint.
+    fn category(spec: &TrialSpec, first_head: u64) -> usize {
+        if spec.trigger <= first_head {
             2
         } else if matches!(spec.kind, TrialKind::Op) {
             0
@@ -297,10 +339,10 @@ impl CostModel {
     }
 
     /// Per-category means of `trials`, which pair up with `specs`.
-    fn measured(specs: &[TrialSpec], trials: &[TrialOutcome], prep_steps: u64) -> Self {
+    fn measured(specs: &[TrialSpec], trials: &[TrialOutcome], first_head: u64) -> Self {
         let mut sums = [(0u64, 0u64); 3];
         for (spec, trial) in specs.iter().zip(trials) {
-            let sum = &mut sums[Self::category(spec, prep_steps)];
+            let sum = &mut sums[Self::category(spec, first_head)];
             sum.0 += trial.ns;
             sum.1 += 1;
         }
@@ -323,6 +365,10 @@ pub struct TrialOutcome {
     pub injected_at: Option<u64>,
     /// Recovery measurement vs the golden run.
     pub stats: RecoveryStats,
+    /// The iteration at whose head the trial's machine state was bitwise
+    /// the golden run's (the state-level recovery witness), or `None`
+    /// if it never was.
+    pub rejoined_at: Option<usize>,
     /// Measured wall time of this trial in nanoseconds.
     pub ns: u64,
 }
@@ -435,36 +481,143 @@ mod tests {
         ScriptedInput::new().channel("read", vec![Value::Int(1), Value::Int(2)])
     }
 
+    use crate::rejoin_probes::{probe_inputs, probes};
+
     #[test]
     fn monte_carlo_matches_per_trial_fresh_vms() {
-        let p = parse(SRC).expect("parses");
-        let mut c = Campaign::new(&p, ("A", "main"), 8);
-        c.trials = 40;
-        let out = c.run(inputs).expect("campaign");
         // Replay each trial on a fresh VM over fresh inputs: same
-        // trigger derivation, same stats, same fire step.
-        let module = compile(&p);
-        let fresh = |injector: Option<Injector>| {
-            let mut vm = Vm::new(&module, inputs(), ExecOptions::default());
-            vm.set_injector(injector);
-            vm.run("A", "main", 8).expect("runs")
-        };
-        let golden = fresh(None);
-        assert_eq!(golden.iteration_outputs, out.golden.iteration_outputs);
-        let max_step = ((golden.steps as f64) * c.inject_window).max(2.0) as u64;
-        assert_eq!(out.trials.len(), 40);
-        for t in &out.trials {
-            let mut rng = StdRng::seed_from_u64(t.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            assert_eq!(rng.gen_range(1..max_step), t.trigger);
-            let kind = if t.seed.is_multiple_of(2) {
-                InjectKind::Op
-            } else {
-                InjectKind::Heap
+        // trigger derivation, same stats, same fire step. Beside `SRC`,
+        // each rejoin probe keeps one part of the state across
+        // iterations; a trial that stopped where that part still
+        // differs would report the golden run's outputs, not its own.
+        let cases = std::iter::once(("prev", SRC, inputs as fn() -> ScriptedInput, 8)).chain(
+            probes().map(|(name, src)| (name, src, probe_inputs as fn() -> ScriptedInput, 10)),
+        );
+        for (name, src, inputs, iterations) in cases {
+            let p = parse(src).expect("parses");
+            let module = compile(&p);
+            let fresh = |injector: Option<Injector>| {
+                let mut vm = Vm::new(&module, inputs(), ExecOptions::default());
+                vm.set_injector(injector);
+                vm.run("A", "main", iterations).expect("runs")
             };
-            let run = fresh(Some(Injector::with_kind(t.seed, t.trigger, kind)));
-            let stats = compare_runs(&golden.iteration_outputs, &run.iteration_outputs, 0.0);
-            assert_eq!(stats, t.stats, "seed {}", t.seed);
-            assert_eq!(run.injected_at, t.injected_at, "seed {}", t.seed);
+            let golden = fresh(None);
+            let heap_cells = {
+                let mut vm = Vm::new(&module, inputs(), ExecOptions::default());
+                vm.run("A", "main", iterations).expect("runs");
+                vm.heap_cells()
+            };
+            let max_step = ((golden.steps as f64) * 0.8).max(2.0) as u64;
+            let grids = [
+                Grid::MonteCarlo,
+                Grid::Lattice {
+                    seeds: 3,
+                    triggers: 8,
+                },
+            ];
+            for grid in grids {
+                let mut c = Campaign::new(&p, ("A", "main"), iterations);
+                c.grid = grid;
+                c.trials = 160;
+                let out = c.run(inputs).expect("campaign");
+                // Every planned trial is reported, once.
+                let planned = match grid {
+                    Grid::MonteCarlo => c.trials,
+                    Grid::Lattice { seeds, triggers } => triggers * (heap_cells + seeds),
+                };
+                assert_eq!(out.heap_cells, heap_cells, "{name}");
+                assert_eq!(out.trials.len(), planned, "{name} {grid:?}");
+                // Debug renderings, so NaN outputs compare equal.
+                assert_eq!(
+                    format!("{:?}", golden.iteration_outputs),
+                    format!("{:?}", out.golden.iteration_outputs)
+                );
+                for t in &out.trials {
+                    if let Grid::MonteCarlo = grid {
+                        let mut rng =
+                            StdRng::seed_from_u64(t.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                        assert_eq!(rng.gen_range(1..max_step), t.trigger);
+                        let op = matches!(t.kind, TrialKind::Op);
+                        assert_eq!(op, t.seed.is_multiple_of(2), "{name} seed {}", t.seed);
+                    }
+                    let spec = TrialSpec {
+                        seed: t.seed,
+                        trigger: t.trigger,
+                        kind: t.kind,
+                    };
+                    let run = fresh(Some(spec.injector()));
+                    let stats =
+                        compare_runs(&golden.iteration_outputs, &run.iteration_outputs, 0.0);
+                    assert_eq!(stats, t.stats, "{name} {grid:?} {t:?}");
+                    assert_eq!(run.injected_at, t.injected_at, "{name} {grid:?} {t:?}");
+                }
+                // Every program rejoins somewhere; the NaN probe only
+                // because its state compares by bits.
+                if let Grid::MonteCarlo = grid {
+                    assert!(
+                        out.trials.iter().any(|t| t.rejoined_at.is_some()),
+                        "{name}: no trial rejoined the golden run"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_budget_bounds_captured_heads_not_results() {
+        // The alloc probe's heap grows every iteration, so its
+        // checkpoints grow quadratically. Past the budget the golden run
+        // captures no more heads, and trials beyond them run from the
+        // last one to the end: same results, fewer rejoin points.
+        let (_, src) = probes()
+            .find(|(n, _)| n.starts_with("alloc"))
+            .expect("alloc probe");
+        let p = parse(src).expect("parses");
+        let module = compile(&p);
+        let heads = |budget| {
+            let mut vm = Vm::new(&module, probe_inputs(), ExecOptions::default());
+            let (_, cps) = vm.run_checkpointed("A", "main", 40, budget).expect("runs");
+            cps.heads.iter().map(|h| h.bytes()).collect::<Vec<_>>()
+        };
+        let all = heads(CHECKPOINT_BUDGET);
+        assert_eq!(all.len(), 40, "one checkpoint per head");
+        assert!(
+            all.windows(2).all(|w| w[0] < w[1]),
+            "the heap grows: {all:?}"
+        );
+        let budget = all[..10].iter().sum::<usize>();
+        assert_eq!(heads(budget).len(), 10);
+        assert_eq!(heads(0).len(), 0);
+
+        let semantic = |o: &CampaignOutcome| {
+            o.trials
+                .iter()
+                .map(|t| (t.seed, t.trigger, t.kind, t.injected_at, t.stats.clone()))
+                .collect::<Vec<_>>()
+        };
+        for grid in [
+            Grid::MonteCarlo,
+            Grid::Lattice {
+                seeds: 2,
+                triggers: 6,
+            },
+        ] {
+            let mut c = Campaign::new(&p, ("A", "main"), 40);
+            c.grid = grid;
+            c.trials = 60;
+            let full = c.run(probe_inputs).expect("campaign");
+            for cut in [0, budget] {
+                let capped = c.run_within(probe_inputs, cut).expect("campaign");
+                assert_eq!(semantic(&capped), semantic(&full), "{grid:?} budget {cut}");
+                let captured = heads(cut).len();
+                assert!(
+                    capped
+                        .trials
+                        .iter()
+                        .all(|t| t.rejoined_at.is_none_or(|k| k < captured)),
+                    "{grid:?} budget {cut}: rejoined past the last checkpoint"
+                );
+            }
         }
     }
 
@@ -543,10 +696,10 @@ mod tests {
         c.trials = 40;
         let out = c.run(inputs).expect("campaign");
         let module = compile(&p);
-        let prep_steps = Vm::new(&module, inputs(), ExecOptions::default())
-            .prepare("A", "main")
-            .expect("prepares")
-            .steps;
+        let (_, checkpoints) = Vm::new(&module, inputs(), ExecOptions::default())
+            .run_checkpointed("A", "main", 8, CHECKPOINT_BUDGET)
+            .expect("runs");
+        let first_head = checkpoints.heads[0].steps;
         for category in 0..3 {
             let ns: Vec<u64> = out
                 .trials
@@ -557,7 +710,7 @@ mod tests {
                         trigger: t.trigger,
                         kind: t.kind,
                     };
-                    CostModel::category(&spec, prep_steps) == category
+                    CostModel::category(&spec, first_head) == category
                 })
                 .map(|t| t.ns)
                 .collect();

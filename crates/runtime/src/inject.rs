@@ -126,6 +126,12 @@ impl Injector {
             .unwrap_or(0)
     }
 
+    /// Whether the injector has fired and has no trigger left: it can
+    /// no longer change a run.
+    pub(crate) fn is_spent(&self) -> bool {
+        self.fired_at.is_some() && self.triggers.is_empty()
+    }
+
     fn due(&mut self, step: u64) -> bool {
         if self.triggers.last() == Some(&step) {
             self.triggers.pop();

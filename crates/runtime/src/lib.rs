@@ -37,6 +37,10 @@ pub mod input;
 pub mod value;
 pub mod vm;
 
+#[cfg(test)]
+#[path = "../tests/rejoin_probes/mod.rs"]
+mod rejoin_probes;
+
 pub use bytecode::{compile, FlatHeapSnapshot, Module};
 pub use campaign::{Campaign, CampaignOutcome, Grid, RecoveryHistogram, TrialOutcome};
 pub use driver::{compare_runs, RecoveryStats};

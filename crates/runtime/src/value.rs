@@ -56,6 +56,15 @@ impl Value {
         }
     }
 
+    /// Bitwise identity: `==`, except that floats compare by their bits,
+    /// so `-0.0` and `0.0` differ and a NaN equals only the same NaN.
+    pub(crate) fn same_bits(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
+
     /// Integer view.
     pub fn as_i64(&self) -> Option<i64> {
         match self {

@@ -17,9 +17,18 @@
 //!
 //! A `Vm` is built once per compiled module and reused across runs:
 //! [`Vm::run`] resets the flat heap and register file in place, and
-//! campaigns go further with
-//! [`Vm::prepare`]/[`Vm::snapshot`]/[`Vm::restore`]/[`Vm::resume`] to
-//! skip re-instantiating the entry object on every trial.
+//! [`Vm::prepare`]/[`Vm::snapshot`]/[`Vm::restore`]/[`Vm::resume`] skip
+//! re-instantiating the entry object between runs.
+//!
+//! Campaigns replay far less. With checkpointing on, the dispatch loop
+//! pauses after every head of the entry frame's event loop (`ElHead`
+//! runs once per iteration, so the per-op cost is unchanged) and logs
+//! the channel of every `Device.*` read. The golden run captures a
+//! checkpoint of the whole machine at each pause. A trial restores the
+//! last checkpoint before its fault, and at each later head asks whether
+//! its state is bitwise that of the golden run there, with the same
+//! reads since the restore and a spent injector; from such a head on
+//! the run can only repeat the golden one.
 
 use crate::bytecode::{FlatHeap, FlatHeapSnapshot};
 use crate::bytecode::{Module, Op, StoreFallback, VarFallback};
@@ -88,6 +97,13 @@ enum OpStop {
     Err(RuntimeError),
     /// The event loop finished its scheduled iterations.
     LoopDone,
+    /// Checkpointing: a head of the entry event loop just passed.
+    Head,
+}
+
+/// Whether `a` and `b` have the same length and `same` holds pairwise.
+fn all_same<T>(a: &[T], b: &[T], same: impl Fn(&T, &T) -> bool) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same(x, y))
 }
 
 fn stop(msg: impl Into<String>) -> OpStop {
@@ -98,6 +114,7 @@ fn stop(msg: impl Into<String>) -> OpStop {
 
 /// One activation record. Registers live in the shared `Vm::regs`
 /// arena at `base .. base + chunk.n_regs`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct VmFrame {
     chunk: u32,
     pc: usize,
@@ -120,6 +137,7 @@ struct Pending {
 
 /// The active event loop: where to re-enter on a caught iteration
 /// abort, and how much machine state to unwind.
+#[derive(Debug, Clone)]
 struct ElCtx {
     frame: usize,
     head_pc: usize,
@@ -155,6 +173,54 @@ pub struct VmSnapshot<I> {
     inputs: I,
 }
 
+/// The machine state just after one head of the entry event loop,
+/// captured by [`Vm::run_checkpointed`]. The output, log and read-log
+/// prefixes are lengths into the golden run's, which only ever grow.
+#[derive(Debug)]
+pub(crate) struct Checkpoint<I> {
+    heap: FlatHeapSnapshot,
+    statics: Vec<Option<Value>>,
+    regs: Vec<Value>,
+    defined: Vec<bool>,
+    frame: VmFrame,
+    el: Option<ElCtx>,
+    /// Steps taken before this head: a trial whose trigger lies beyond
+    /// runs exactly as the golden run up to here.
+    pub(crate) steps: u64,
+    iter_start_step: u64,
+    inputs: I,
+    /// Iterations started before this head (`heads[iteration]` is this).
+    iteration: usize,
+    log_len: usize,
+    reads: usize,
+}
+
+impl<I> Checkpoint<I> {
+    /// Bytes this checkpoint holds: its own record, heap slots and
+    /// entries, statics, registers and their flags. Heap memory the
+    /// input state owns and the payloads of string values are not
+    /// counted.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + FlatHeap::snapshot_bytes(&self.heap)
+            + std::mem::size_of_val(self.statics.as_slice())
+            + std::mem::size_of_val(self.regs.as_slice())
+            + self.defined.len()
+    }
+}
+
+/// The checkpoints of one golden run, one per head of the entry event
+/// loop up to a byte budget, and its read log.
+#[derive(Debug)]
+pub(crate) struct Checkpoints<I> {
+    /// One per head of the entry event loop, in run order: `heads[k]`
+    /// is the head of iteration `k`. Past the budget the list ends
+    /// early.
+    pub(crate) heads: Vec<Checkpoint<I>>,
+    /// Channel name id of every `Device.*` read, from instantiation on.
+    reads: Vec<u32>,
+}
+
 /// The bytecode virtual machine. Generic over the input provider;
 /// borrows the compiled [`Module`].
 pub struct Vm<'m, I: InputProvider> {
@@ -173,6 +239,11 @@ pub struct Vm<'m, I: InputProvider> {
     inputs: I,
     injector: Option<Injector>,
     el: Option<ElCtx>,
+    /// Pause after entry heads and log reads (campaign runs only).
+    checkpointing: bool,
+    /// Channels read since `reads_base` of the golden read log.
+    reads: Vec<u32>,
+    reads_base: usize,
 }
 
 impl<'m, I: InputProvider> Vm<'m, I> {
@@ -194,6 +265,9 @@ impl<'m, I: InputProvider> Vm<'m, I> {
             inputs,
             injector: None,
             el: None,
+            checkpointing: false,
+            reads: Vec::new(),
+            reads_base: 0,
         }
     }
 
@@ -244,6 +318,11 @@ impl<'m, I: InputProvider> Vm<'m, I> {
     ///
     /// Propagates instantiation failures and unknown entry points.
     pub fn prepare(&mut self, class: &str, method: &str) -> Result<Prepared, RuntimeError> {
+        self.checkpointing = false;
+        self.instantiate(class, method)
+    }
+
+    fn instantiate(&mut self, class: &str, method: &str) -> Result<Prepared, RuntimeError> {
         self.reset();
         self.regs.push(Value::Null);
         self.defined.push(true);
@@ -326,6 +405,136 @@ impl<'m, I: InputProvider> Vm<'m, I> {
         self.pending.clear();
         self.el = None;
         self.injector = None;
+        self.checkpointing = false;
+    }
+
+    /// Runs `class.method` like [`Vm::run`] with checkpointing on, and
+    /// captures the machine after every head of the entry event loop
+    /// until the checkpoints hold `budget` bytes (see
+    /// [`Checkpoint::bytes`]); later heads go uncaptured.
+    pub(crate) fn run_checkpointed(
+        &mut self,
+        class: &str,
+        method: &str,
+        iterations: usize,
+        budget: usize,
+    ) -> Result<(RunResult, Checkpoints<I>), RuntimeError>
+    where
+        I: Clone,
+    {
+        self.start_checkpointed(class, method, iterations)?;
+        let mut heads = Vec::new();
+        let mut kept = 0;
+        while self.dispatch()? {
+            if kept < budget {
+                let cp = self.checkpoint();
+                kept += cp.bytes();
+                heads.push(cp);
+            }
+        }
+        self.checkpointing = false;
+        let reads = std::mem::take(&mut self.reads);
+        Ok((self.take_result(), Checkpoints { heads, reads }))
+    }
+
+    /// Instantiates `class` and enters `method` with checkpointing on;
+    /// [`Vm::dispatch`] then runs to the next entry head or the end.
+    pub(crate) fn start_checkpointed(
+        &mut self,
+        class: &str,
+        method: &str,
+        iterations: usize,
+    ) -> Result<(), RuntimeError> {
+        // On before instantiation, so initializer reads are logged too.
+        self.checkpointing = true;
+        let prep = self.instantiate(class, method)?;
+        self.start_entry(&prep, iterations);
+        Ok(())
+    }
+
+    fn checkpoint(&self) -> Checkpoint<I>
+    where
+        I: Clone,
+    {
+        debug_assert!(self.frames.len() == 1 && self.pending.is_empty());
+        Checkpoint {
+            heap: self.heap.snapshot(),
+            statics: self.statics.clone(),
+            regs: self.regs.clone(),
+            defined: self.defined.clone(),
+            frame: self.frames[0],
+            el: self.el.clone(),
+            steps: self.steps,
+            iter_start_step: self.iter_start_step,
+            inputs: self.inputs.clone(),
+            iteration: self.outputs.len(),
+            log_len: self.log.len(),
+            reads: self.reads.len(),
+        }
+    }
+
+    /// Puts the machine in the state of checkpoint `cp` of the golden
+    /// run `golden`, checkpointing on; the injector is left as it is.
+    pub(crate) fn restore_checkpoint(&mut self, cp: &Checkpoint<I>, golden: &RunResult)
+    where
+        I: Clone,
+    {
+        self.heap.restore(&cp.heap);
+        self.statics.clone_from(&cp.statics);
+        self.regs.clone_from(&cp.regs);
+        self.defined.clone_from(&cp.defined);
+        self.frames.clear();
+        self.frames.push(cp.frame);
+        self.pending.clear();
+        self.el.clone_from(&cp.el);
+        self.steps = cp.steps;
+        self.iter_start_step = cp.iter_start_step;
+        self.inputs.clone_from(&cp.inputs);
+        self.outputs.clear();
+        self.outputs
+            .extend_from_slice(&golden.iteration_outputs[..cp.iteration]);
+        self.log.clear();
+        self.log.extend_from_slice(&golden.error_log[..cp.log_len]);
+        self.checkpointing = true;
+        self.reads.clear();
+        self.reads_base = cp.reads;
+    }
+
+    /// At an entry head: the iteration whose golden checkpoint this
+    /// machine has rejoined, if it has. That needs a spent injector, the
+    /// golden run's reads since the restore (a deterministic provider
+    /// then is in the golden state too), the golden frame, registers,
+    /// statics and heap bit for bit, and a step count into the iteration
+    /// no higher than the golden one, so the loop condition cannot
+    /// exhaust the step budget where the golden run did not. Outputs and
+    /// the log are never read back, so they may differ.
+    pub(crate) fn rejoined(&self, golden: &Checkpoints<I>) -> Option<usize> {
+        let cp = golden.heads.get(self.outputs.len())?;
+        let same = self.injector.as_ref().is_none_or(Injector::is_spent)
+            && self.pending.is_empty()
+            && self.frames.len() == 1
+            && self.frames[0] == cp.frame
+            && self.steps - self.iter_start_step <= cp.steps - cp.iter_start_step
+            && golden.reads.get(self.reads_base..cp.reads) == Some(self.reads.as_slice())
+            && self.defined == cp.defined
+            && all_same(&self.regs, &cp.regs, Value::same_bits)
+            && all_same(&self.statics, &cp.statics, |a, b| match (a, b) {
+                (Some(a), Some(b)) => a.same_bits(b),
+                _ => a.is_none() && b.is_none(),
+            })
+            && self.heap.same_bits(&cp.heap);
+        same.then_some(cp.iteration)
+    }
+
+    /// Ends a checkpointed trial: its outputs followed by `golden_rest`,
+    /// and the step its injector fired at.
+    pub(crate) fn finish_trial(
+        &mut self,
+        golden_rest: &[Vec<Value>],
+    ) -> (Vec<Vec<Value>>, Option<u64>) {
+        let mut outputs = std::mem::take(&mut self.outputs);
+        outputs.extend_from_slice(golden_rest);
+        (outputs, self.injector.take().and_then(|i| i.fired_at))
     }
 
     /// Total mutable heap cells in the current state (the heap-slot
@@ -348,6 +557,8 @@ impl<'m, I: InputProvider> Vm<'m, I> {
         self.steps = 0;
         self.iter_start_step = 0;
         self.el = None;
+        self.reads.clear();
+        self.reads_base = 0;
     }
 
     fn start_entry(&mut self, prep: &Prepared, iterations: usize) {
@@ -358,14 +569,18 @@ impl<'m, I: InputProvider> Vm<'m, I> {
 
     fn finish_run(&mut self) -> Result<RunResult, RuntimeError> {
         let r = self.dispatch();
-        let injected_at = self.injector.take().and_then(|i| i.fired_at);
+        let result = self.take_result();
         r?;
-        Ok(RunResult {
+        Ok(result)
+    }
+
+    fn take_result(&mut self) -> RunResult {
+        RunResult {
             iteration_outputs: std::mem::take(&mut self.outputs),
             steps: self.steps,
             error_log: std::mem::take(&mut self.log),
-            injected_at,
-        })
+            injected_at: self.injector.take().and_then(|i| i.fired_at),
+        }
     }
 
     // ---- machine plumbing -------------------------------------------
@@ -424,16 +639,18 @@ impl<'m, I: InputProvider> Vm<'m, I> {
         }
     }
 
-    /// Runs ops until the machine stops: `Ok(true)` when the event loop
-    /// completed its iterations, `Ok(false)` when the frame stack
-    /// drained (entry returned before/without an event loop).
-    fn dispatch(&mut self) -> Result<bool, RuntimeError> {
+    /// Runs ops until the machine stops (`Ok(false)`: the event loop
+    /// completed its iterations or the frame stack drained) or, with
+    /// checkpointing on, pauses just after a head of the entry event
+    /// loop (`Ok(true)`; calling again resumes).
+    pub(crate) fn dispatch(&mut self) -> Result<bool, RuntimeError> {
         loop {
             if self.frames.is_empty() {
                 return Ok(false);
             }
             match self.exec_next() {
                 Ok(()) => {}
+                Err(OpStop::Head) => return Ok(true),
                 Err(OpStop::LoopDone) => {
                     // Initializers contain no event loop, so a
                     // LoopDone can never unwind into one.
@@ -441,7 +658,7 @@ impl<'m, I: InputProvider> Vm<'m, I> {
                         unreachable!("no loop in initializer");
                     }
                     self.frames.clear();
-                    return Ok(true);
+                    return Ok(false);
                 }
                 Err(OpStop::Err(e)) => {
                     let catch = self
@@ -805,6 +1022,9 @@ impl<'m, I: InputProvider> Vm<'m, I> {
                 }
             }
             Op::DeviceRead { dst, chan } => {
+                if self.checkpointing {
+                    self.reads.push(chan);
+                }
                 let v = self.inputs.next(&module.names[chan as usize]);
                 let v = self.step(v)?;
                 self.regs[r(dst)] = v;
@@ -878,6 +1098,9 @@ impl<'m, I: InputProvider> Vm<'m, I> {
                     pending_len: self.pending.len(),
                     armed: false,
                 });
+                if self.checkpointing && fi == 0 {
+                    return Err(OpStop::Head);
+                }
             }
             Op::ElCond { c } => {
                 if !self.regs[r(c)].as_bool().unwrap_or(true) {

@@ -10,19 +10,21 @@
 #      regression in crates/bench/tests/determinism.rs and the
 #      process-level `sjava check` byte-identity checks in tests/cli.rs)
 #   4. clippy with warnings denied
-#   5. explicit release-mode runs of the determinism regression and of
+#   5. rustdoc over the whole workspace with warnings denied, so a
+#      broken or private intra-doc link fails the build
+#   6. explicit release-mode runs of the determinism regression and of
 #      the VM trace suite (crates/bench/tests/vm_equiv.rs: the VM must
 #      reproduce the pinned traces of the paper apps and the stress
 #      corpus, plain and fault-injected, and its campaign sweeps pin
 #      per-trial results across worker counts), so the parallel
 #      pipeline and the campaign workers are exercised with
 #      optimizations on and real interleaving
-#   6. the golden-diagnostic snapshot suite (regenerate fixtures with
+#   7. the golden-diagnostic snapshot suite (regenerate fixtures with
 #      SJAVA_REGEN_GOLDEN=1 after an intentional diagnostic change),
 #      followed by a freshness gate: the diagnostic, fuzz near-miss and
 #      VM trace fixtures are regenerated into place and any drift from
 #      the checked-in bytes fails the build
-#   7. the incremental-cache correctness suite, with the worker pool
+#   8. the incremental-cache correctness suite, with the worker pool
 #      pinned to 1 and then 4 threads so cached replay is proven
 #      deterministic across fan-out widths; it includes the ≥0.95
 #      cross-session warm-hit-rate floor of the artifact store and the
@@ -30,25 +32,25 @@
 #      reachable method on a cold check, no writes on an unchanged
 #      re-check or an unused-field edit, at most one new object after
 #      a header edit)
-#   8. the benchmark harness in gate mode on the small stress preset,
+#   9. the benchmark harness in gate mode on the small stress preset,
 #      enforcing the parallel-speedup and small-app-tax floors. With the
 #      parallel checker and parallel front-end the stress floor is
 #      2.5x at 4 workers (skipped on machines with <4 cores, where the
 #      measurement is meaningless)
-#   9. the inference benchmark in gate mode on the small stress preset,
+#  10. the inference benchmark in gate mode on the small stress preset,
 #      enforcing the dense-vs-legacy speedup floor (≥1.5x at 1 worker)
 #      and, on machines with ≥4 cores, the parallel-scaling floor
 #      (dense at max workers must not lose to dense at 1, ≥1.0x); the
 #      byte-identity oracle check (dense == legacy annotations at every
 #      width) runs first inside the binary
-#  10. the incremental benchmark in gate mode with an on-disk cache
+#  11. the incremental benchmark in gate mode with an on-disk cache
 #      directory: a warm re-check must never be slower than a cold
 #      check on any benchmark (min-of-reps), which pins the fix for
 #      the small-app persistence regression
-#  11. a fixed-seed differential fuzz smoke: 500 generated cases
+#  12. a fixed-seed differential fuzz smoke: 500 generated cases
 #      (adversarial stress shapes + mutations) through all five
 #      engine-pair oracles; any mismatch fails the build
-#  12. the edit-storm gate (bench_edit): red-green revalidation must
+#  13. the edit-storm gate (bench_edit): red-green revalidation must
 #      re-check ≤ 25% of methods after a single-method interface edit
 #      on the large stress corpus (at 1 and 4 worker threads), an
 #      unused-field edit must re-check zero, and every
@@ -69,6 +71,9 @@ cargo test -q --workspace
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== determinism: identical diagnostics at 1..8 worker threads =="
 cargo test --release -q -p sjava-bench --test determinism

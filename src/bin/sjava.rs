@@ -25,7 +25,8 @@
 //! ```
 //!
 //! Exit codes: `0` success, `1` the check (or another command) failed
-//! with diagnostics, `2` usage or I/O error.
+//! with diagnostics, `2` usage or I/O error, `141` the reader closed
+//! stdout before the output was written.
 
 use std::process::ExitCode;
 
@@ -35,6 +36,43 @@ use sjava::syntax::{emit, SourceFile};
 
 /// Exit status for usage and I/O errors, distinct from check failures.
 const EXIT_USAGE: u8 = 2;
+
+/// `print!` through [`write_out`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_out`].
+macro_rules! outln {
+    () => {
+        write_out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Exit status when the reader closed stdout early: 128 + SIGPIPE, what
+/// a shell reports for a process that SIGPIPE killed.
+const EXIT_CLOSED_PIPE: i32 = 141;
+
+/// Writes command output to stdout. A reader that closed the pipe
+/// early (`sjava stress | head -1`) ends the process quietly with
+/// [`EXIT_CLOSED_PIPE`], never 0: the command did not finish, so
+/// `set -o pipefail` must not read it as a success. Any other write
+/// failure is an I/O error.
+fn write_out(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(EXIT_CLOSED_PIPE);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(EXIT_USAGE.into());
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -150,7 +188,7 @@ fn cmd_stress(args: &[String]) -> ExitCode {
         return stress_infer(&cfg, &src);
     }
     if !check {
-        print!("{src}");
+        out!("{src}");
         eprintln!(
             "// {}: {} methods, {} bytes",
             cfg.label(),
@@ -172,10 +210,10 @@ fn cmd_stress(args: &[String]) -> ExitCode {
     }
     let label = cfg.label();
     if diagnostics.has_errors() {
-        println!("{label}: NOT verified self-stabilizing ✗ ({elapsed:.2?})");
+        outln!("{label}: NOT verified self-stabilizing ✗ ({elapsed:.2?})");
         ExitCode::FAILURE
     } else {
-        println!(
+        outln!(
             "{label}: {} methods self-stabilizing ✓ ({elapsed:.2?})",
             cfg.method_count()
         );
@@ -244,7 +282,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     }
 
     let report = fuzz::run(&cfg);
-    print!("{}", report.render());
+    out!("{}", report.render());
     if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
@@ -438,7 +476,7 @@ fn run_campaign<I, F>(
     cfg: &CampaignCfg,
 ) -> ExitCode
 where
-    I: sjava::runtime::InputProvider + Clone,
+    I: sjava::runtime::InputProvider + Clone + Sync,
     F: Fn() -> I + Sync,
 {
     let program = match sjava::parse(src) {
@@ -462,7 +500,7 @@ where
         }
     };
 
-    println!(
+    outln!(
         "{}.{}: {} trials in {:.2}s ({:.0} trials/sec), {} iterations/run, {} live heap cells",
         entry.0,
         entry.1,
@@ -472,28 +510,44 @@ where
         iterations,
         outcome.heap_cells
     );
-    println!(
+    outln!(
         "diverged: {}/{} trials; golden run: {} samples, {} steps",
         outcome.diverged(),
         outcome.trials.len(),
         outcome.golden.outputs().len(),
         outcome.golden.steps
     );
-    println!(
+    outln!(
         "measured cost (ns/trial): op-resume {}, heap-resume {}, full-run {}",
-        outcome.cost_model.ns[0], outcome.cost_model.ns[1], outcome.cost_model.ns[2]
+        outcome.cost_model.ns[0],
+        outcome.cost_model.ns[1],
+        outcome.cost_model.ns[2]
     );
-    println!("\nrecovery time, output samples until re-convergence:");
-    print!("{}", outcome.hist_samples.render());
-    println!("\nrecovery time, iterations until re-convergence:");
-    print!("{}", outcome.hist_iterations.render());
+    let mut rejoined: Vec<usize> = outcome
+        .trials
+        .iter()
+        .filter_map(|t| t.rejoined_at)
+        .collect();
+    rejoined.sort_unstable();
+    outln!(
+        "state rejoined golden: {}/{} trials, median iteration {}",
+        rejoined.len(),
+        outcome.trials.len(),
+        rejoined
+            .get(rejoined.len().saturating_sub(1) / 2)
+            .map_or("-".to_string(), |k| k.to_string())
+    );
+    outln!("\nrecovery time, output samples until re-convergence:");
+    out!("{}", outcome.hist_samples.render());
+    outln!("\nrecovery time, iterations until re-convergence:");
+    out!("{}", outcome.hist_iterations.render());
 
     if let Some(path) = &cfg.out {
         if let Err(e) = std::fs::write(path, outcome.hist_samples.to_csv()) {
             eprintln!("error: cannot write `{path}`: {e}");
             return ExitCode::from(EXIT_USAGE);
         }
-        println!("histogram written to {path}");
+        outln!("histogram written to {path}");
     }
     ExitCode::SUCCESS
 }
@@ -522,14 +576,14 @@ fn stress_infer(cfg: &sjava_bench::stressgen::StressConfig, src: &str) -> ExitCo
                 .iter()
                 .map(|(name, d)| format!("{name} {:.3} ms", d.as_secs_f64() * 1000.0))
                 .collect();
-            println!(
+            outln!(
                 "{label}: inferred {} locations, {} paths over {} methods ✓ ({:.2?})",
                 result.metrics.total_locations(),
                 result.metrics.total_paths(),
                 cfg.method_count(),
                 result.elapsed
             );
-            println!(
+            outln!(
                 "phases: {} ({} worker thread{})",
                 phase_list.join(", "),
                 t.threads,
@@ -541,7 +595,7 @@ fn stress_infer(cfg: &sjava_bench::stressgen::StressConfig, src: &str) -> ExitCo
             for d in diags.iter() {
                 eprintln!("{}", d.render(&file));
             }
-            println!("{label}: inference failed ✗");
+            outln!("{label}: inference failed ✗");
             ExitCode::FAILURE
         }
     }
@@ -557,7 +611,7 @@ fn cmd_lint(path: &str) -> ExitCode {
     for d in diags.iter() {
         eprintln!("{}", d.render(&file));
     }
-    println!("{findings} finding(s)");
+    outln!("{findings} finding(s)");
     ExitCode::SUCCESS
 }
 
@@ -574,9 +628,12 @@ fn cmd_lifetimes(path: &str) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let sites = sjava::analysis::analyze_lifetimes(&program, &cg);
-    println!(
+    outln!(
         "{:<24}{:<12}{:<10}{:<12}at",
-        "method", "class", "escape", "bound"
+        "method",
+        "class",
+        "escape",
+        "bound"
     );
     for s in sites {
         let bound = s
@@ -584,7 +641,7 @@ fn cmd_lifetimes(path: &str) -> ExitCode {
             .map(|b| format!("{b} iter"))
             .unwrap_or_else(|| "whole run".to_string());
         let lc = file.line_col(s.span.start);
-        println!(
+        outln!(
             "{:<24}{:<12}{:<10}{:<12}{}:{}",
             format!("{}.{}", s.method.0, s.method.1),
             s.class,
@@ -611,7 +668,7 @@ fn cmd_vfg(path: &str) -> ExitCode {
     };
     let graphs = sjava::infer::build_flow_graphs(&program, &cg);
     for ((class, method), g) in &graphs {
-        print!("{}", g.to_dot(&format!("{class}.{method}")));
+        out!("{}", g.to_dot(&format!("{class}.{method}")));
     }
     ExitCode::SUCCESS
 }
@@ -656,7 +713,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
             }
             return ExitCode::from(EXIT_USAGE);
         };
-        println!(
+        outln!(
             "{code} ({}): {}\n\n{}",
             code.name(),
             code.summary(),
@@ -730,19 +787,19 @@ fn cmd_check(args: &[String]) -> ExitCode {
                 eprintln!("{}", d.render(&file));
             }
         }
-        Format::Json => print!("{}", emit::to_json(&file, &diagnostics)),
-        Format::Sarif => print!("{}", emit::to_sarif(&file, &diagnostics)),
+        Format::Json => out!("{}", emit::to_json(&file, &diagnostics)),
+        Format::Sarif => out!("{}", emit::to_sarif(&file, &diagnostics)),
     }
 
     let failed = diagnostics.has_errors() || (deny_warnings && diagnostics.has_warnings());
     if failed {
         if format == Format::Text {
-            println!("{path}: NOT verified self-stabilizing ✗");
+            outln!("{path}: NOT verified self-stabilizing ✗");
         }
         ExitCode::FAILURE
     } else {
         if format == Format::Text {
-            println!("{path}: self-stabilizing ✓");
+            outln!("{path}: self-stabilizing ✓");
         }
         ExitCode::SUCCESS
     }
@@ -793,7 +850,7 @@ fn cmd_infer(args: &[String]) -> ExitCode {
     };
     match sjava::infer_annotations(&stripped, mode) {
         Ok(result) => {
-            print!("{}", print_program(&result.annotated));
+            out!("{}", print_program(&result.annotated));
             eprintln!(
                 "// inferred {} locations, {} paths in {:?}",
                 result.metrics.total_locations(),
@@ -849,7 +906,7 @@ fn cmd_run(path: &str, entry: &str, iters: &str) -> ExitCode {
         Ok(result) => {
             for (i, outs) in result.iteration_outputs.iter().enumerate() {
                 let rendered: Vec<String> = outs.iter().map(|v| v.to_string()).collect();
-                println!("iter {i}: {}", rendered.join(" "));
+                outln!("iter {i}: {}", rendered.join(" "));
             }
             if !result.error_log.is_empty() {
                 eprintln!(
@@ -875,12 +932,12 @@ fn cmd_lattice(path: &str) -> ExitCode {
     let lattices = sjava::core::Lattices::build(&program, &mut diags);
     for (class, lat) in &lattices.fields {
         if lat.named_len() > 0 {
-            print!("{}", sjava::lattice::lattice_to_dot(lat, class));
+            out!("{}", sjava::lattice::lattice_to_dot(lat, class));
         }
     }
     for ((class, method), info) in &lattices.methods {
         if info.lattice.named_len() > 0 {
-            print!(
+            out!(
                 "{}",
                 sjava::lattice::lattice_to_dot(&info.lattice, &format!("{class}.{method}"))
             );

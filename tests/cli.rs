@@ -393,11 +393,40 @@ fn campaign_output_is_thread_invariant() {
     let auto = run(None);
     let _ = std::fs::remove_dir_all(&dir);
     assert!(one.0.contains("diverged: "), "{}", one.0);
+    assert!(one.0.contains("state rejoined golden: "), "{}", one.0);
     assert!(one.1.starts_with(b"bucket_lo,count\n"));
     assert_eq!(four.0, one.0, "stdout differs at --threads=4");
     assert_eq!(four.1, one.1, "CSV differs at --threads=4");
     assert_eq!(auto.0, one.0, "stdout differs at the default width");
     assert_eq!(auto.1, one.1, "CSV differs at the default width");
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // `sjava stress | head -1` and `sjava campaign | head -3` close the
+    // pipe while sjava still writes: it must stop quietly, without a
+    // panic (exit 101), and with 141 as a SIGPIPE death would give, not
+    // 0, so `set -o pipefail` does not read an unfinished command as a
+    // success. The stress program is larger than any pipe buffer, so
+    // its writes fail even if the child writes first.
+    use std::process::Stdio;
+    let cases: [&[&str]; 2] = [
+        &["stress", "--preset=large"],
+        &["campaign", "--app=windsensor", "--trials=4"],
+    ];
+    for args in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sjava"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("child exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(141), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
